@@ -42,6 +42,9 @@ import os
 import sys
 from typing import Dict, List, Optional
 
+from ..cli import EXIT_INCOMPLETE as EXIT_REGRESSION
+from ..cli import EXIT_OK
+from ..cli import EXIT_UNREADABLE as EXIT_ERROR
 from .perf import (WORKLOADS, capture_stamp, load_document,
                    merge_entry, run_workload, validate_document)
 
@@ -56,10 +59,6 @@ DEFAULT_TXLOG_DIR = os.path.join("results", "sentinel-txlogs")
 DEFAULT_TOLERANCE = 0.15
 DEFAULT_REPEATS = 3
 DEFAULT_WORKLOADS = ("smoke", "fig14b-2400")
-
-EXIT_OK = 0
-EXIT_ERROR = 2
-EXIT_REGRESSION = 3
 
 
 def _median(values: List[float]) -> float:

@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..obs import events as ev
-from ..obs.txlog import read_records
+from ..obs.txlog import Source, records
 
 __all__ = [
     "N_BINS",
@@ -57,8 +57,6 @@ __all__ = [
 
 #: bins in the per-task pseudo-histogram (16 bytes of sha256 -> 16 bins)
 N_BINS = 16
-
-Source = Union[str, Iterable[dict]]
 
 
 def pseudo_histogram(task_id: str) -> np.ndarray:
@@ -112,7 +110,7 @@ def score(source: Source) -> Scorecard:
     done_counts: Dict[str, int] = {}
     staged: Dict[tuple, int] = {}
     slo_violated: set = set()
-    for r in _records(source):
+    for r in records(source):
         type_ = r.get("type")
         if type_ == ev.RUN:
             card.scheduler = r.get("scheduler", "")
@@ -170,12 +168,6 @@ def score(source: Source) -> Scorecard:
     card.histogram = histogram
     card.histogram_digest = hashlib.sha256(histogram.tobytes()).hexdigest()
     return card
-
-
-def _records(source: Source) -> Iterable[dict]:
-    if isinstance(source, str):
-        return read_records(source)
-    return source
 
 
 def compare(baseline: Scorecard, chaos: Scorecard) -> Dict[str, object]:

@@ -31,15 +31,12 @@ from ..bench.runners import build_environment, run_scheduler
 from ..bench.workloads import build_arrivals, build_workflow, \
     make_schedule
 from ..bench import calibration as cal
+from ..cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_UNREADABLE
 from ..hep.datasets import TABLE2
 from ..obs.txlog import install_signal_handlers
 from .facility import Facility
 from .report import facility_report_data, render_facility_report
 from .tenant import Tenant, TenantQuota
-
-EXIT_OK = 0
-EXIT_UNREADABLE = 2
-EXIT_INCOMPLETE = 3
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,8 +9,9 @@ The measurement substrate for every scheduler stack (Table 1):
   :class:`~repro.sim.trace.TraceRecorder` from disk.
 * :mod:`repro.obs.metrics` -- counters/gauges/histograms plus a
   periodic sampler driven by the simulation clock.
-* :mod:`repro.obs.analyze` -- straggler, transfer-hotspot,
-  cache-pressure and critical-path reports (``python -m repro.obs``).
+* :mod:`repro.obs.analyze` -- the run report: summary, critical
+  path, stragglers, transfer hotspots, cache pressure and tenants
+  (``python -m repro.obs``).
 * :mod:`repro.obs.trace` -- causal span reconstruction and
   critical-path chain attribution over the event stream.
 * :mod:`repro.obs.export` -- Chrome ``trace_event`` (Perfetto) and
@@ -57,8 +58,7 @@ __all__ = [
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "Sampler",
     "install_standard_gauges",
     # lazily resolved from repro.obs.analyze:
-    "RunLog", "load", "straggler_report", "transfer_hotspots",
-    "cache_pressure", "critical_path", "render_report",
+    "RunLog", "load", "render_report", "report_data",
     # lazily resolved from repro.obs.trace:
     "Span", "SpanBuilder", "SpanRecorder", "NULL_SPAN_RECORDER",
     "build_spans", "critical_path_chain", "critical_path_by_tenant",
@@ -74,12 +74,9 @@ __all__ = [
     "diff_runs", "explain_diff", "render_diff",
 ]
 
-_ANALYZE_NAMES = {"RunLog", "load", "straggler_report",
-                  "transfer_hotspots", "cache_pressure",
-                  "critical_path", "render_report", "report_data"}
-
 _LAZY_MODULES = {
-    **{name: "analyze" for name in _ANALYZE_NAMES},
+    **{name: "analyze" for name in (
+        "RunLog", "load", "render_report", "report_data")},
     **{name: "trace" for name in (
         "Span", "SpanBuilder", "SpanRecorder", "NULL_SPAN_RECORDER",
         "build_spans", "critical_path_chain", "critical_path_by_tenant",

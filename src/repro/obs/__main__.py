@@ -30,14 +30,10 @@ import json
 import sys
 from typing import Optional
 
+from ..cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_UNREADABLE
 from . import analyze
 
 SECTIONS = analyze.SECTIONS
-
-#: exit codes (documented above; tested in tests/obs/test_cli.py)
-EXIT_OK = 0
-EXIT_UNREADABLE = 2
-EXIT_INCOMPLETE = 3
 
 
 def _demo_run(path: str) -> None:
@@ -91,14 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="first generate a tiny simulated run "
                              "into LOG, then analyze it")
     return parser
-
-
-def _run_completed(log: "analyze.RunLog") -> bool:
-    from . import events as ev
-    footers = log.by_type.get(ev.RUN_END, [])
-    if not footers:
-        return False  # truncated: the run never wrote its footer
-    return bool(footers[-1].get("completed", True))
 
 
 def _diff_main(argv: list) -> int:
@@ -159,10 +147,11 @@ def main(argv: Optional[list] = None) -> int:
         # prefix; say where the cut fell rather than raising
         print(f"{args.log}: truncated log, analyzing "
               + status.describe(), file=sys.stderr)
+    folds, spans = analyze.fold(log.records)
 
     if args.export_chrome:
         from .export import write_chrome_trace
-        stats = write_chrome_trace(args.export_chrome, log.records,
+        stats = write_chrome_trace(args.export_chrome, spans,
                                    compact=args.compact)
         print(f"chrome trace -> {args.export_chrome} "
               f"({stats['tasks']} tasks, makespan "
@@ -172,21 +161,23 @@ def main(argv: Optional[list] = None) -> int:
         registry = registry_from_txlog(log.records)
         with open(args.export_prom, "w") as fh:
             fh.write(prometheus_exposition(registry,
-                                           timestamp_s=log.makespan))
+                                           timestamp_s=folds.makespan))
         print(f"prometheus exposition -> {args.export_prom}",
               file=sys.stderr)
 
+    report = analyze.assemble(folds, spans, top=args.top,
+                              sections=sections)
     try:
         if args.json:
-            print(json.dumps(analyze.report_data(
-                log, top=args.top, sections=sections), indent=2,
-                sort_keys=True, default=str))
+            print(json.dumps(report, indent=2, sort_keys=True,
+                             default=str))
         else:
-            print(analyze.render_report(log, top=args.top,
-                                        sections=sections))
+            print(analyze.render_report(report))
     except BrokenPipeError:  # e.g. piped into `head`
         return EXIT_OK
-    if args.strict and not _run_completed(log):
+    # a truncated log never reached its footer
+    footer = folds.footer
+    if args.strict and not (footer and footer.get("completed", True)):
         print(f"{args.log}: run did not complete", file=sys.stderr)
         return EXIT_INCOMPLETE
     return EXIT_OK

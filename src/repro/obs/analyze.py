@@ -1,55 +1,61 @@
 """Post-hoc run analysis: why was this run slow?
 
 Answers the diagnostic questions the paper answers with TaskVine's
-transaction logs, from one JSONL file:
+transaction logs, from one JSONL file.  :func:`report_data` returns
+one JSON-ready dict with a key per section, and :func:`render_report`
+formats that dict for terminals:
 
-* :func:`straggler_report` -- which tasks ran far beyond their
-  category's median, and which workers are systematically slow
-  (Fig 8 / Fig 13 territory).
-* :func:`transfer_hotspots` -- which node pairs moved the most bytes
-  and how much traffic funnels through the manager (Fig 7).
-* :func:`cache_pressure` -- per-worker peak cache occupancy, eviction
-  volume, replica losses and lineage recoveries (Fig 11).
-* :func:`critical_path` -- where a task's turnaround goes: manager
-  queueing vs. stage-in vs. execution (the Table I decomposition).
-
-Each function takes a :class:`RunLog` (or anything :func:`load`
-accepts: a path or an iterable of record dicts) and returns a plain
-dict; :func:`render_report` formats them for terminals.
+* ``summary`` -- tasks ok and failed, makespan, record count.
+* ``critical_path`` -- where a task's turnaround goes: manager
+  queueing vs. stage-in vs. execution (the Table I decomposition),
+  plus the causal chain that explains the makespan.
+* ``stragglers`` -- which tasks ran far beyond their category's
+  median, and which workers are systematically slow (Fig 8 / Fig 13
+  territory).
+* ``transfers`` -- which node pairs moved the most bytes and how much
+  traffic funnels through the manager (Fig 7).
+* ``cache`` -- per-worker peak cache occupancy, eviction volume,
+  replica losses and lineage recoveries (Fig 11).
+* ``tenants`` -- per-tenant service quality and critical-path chains
+  of a multi-tenant facility run.
 
 Every section is split into a **fold** (one :class:`Folds` state
 update per record, bounded memory) and a **finalize** (ranking and
-percentiles over the folded state).  The batch functions here fold a
-loaded log through that exact code, and the live analyzer
-(:mod:`repro.obs.live`) feeds the same :class:`Folds` one event at a
-time -- so streaming and post-hoc analysis produce *byte-identical*
-section outputs by construction, float-addition order included.
+percentiles over the folded state).  :func:`report_data` decodes each
+record once, feeding the :class:`Folds` + span-builder pair that the
+live analyzer (:mod:`repro.obs.live`) feeds one event at a time, and
+both assemble their sections through :func:`assemble` -- so streaming
+and post-hoc analysis produce *byte-identical* section outputs by
+construction, float-addition order included.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from . import events as ev
+from . import txlog
+from .trace import (SpanBuilder, critical_path_by_tenant,
+                    critical_path_chain)
 from .txlog import ReadStatus, read_records
 
 __all__ = [
     "Folds",
     "RunLog",
     "load",
-    "straggler_report",
-    "transfer_hotspots",
-    "cache_pressure",
-    "critical_path",
-    "tenant_breakdown",
+    "fold",
+    "assemble",
     "render_report",
     "report_data",
     "SECTIONS",
 ]
 
 MANAGER_NODE = 0
+
+#: a task is a straggler at this multiple of its category's median
+STRAGGLER_FACTOR = 2.0
 
 
 class Folds:
@@ -93,15 +99,10 @@ class Folds:
         self.slo_alerts: List[dict] = []
 
     # -- feeding -------------------------------------------------------------
-    def add(self, record: dict) -> None:
-        """Fold one whole record (the batch / replay entry point)."""
-        self.records += 1
-        self.add_event(record.get("type", "?"), record.get("t", 0.0),
-                       record)
-
     def add_event(self, type: str, t: float, fields: dict) -> None:
-        """Fold one event (the live-bus entry point; does **not**
-        bump ``records`` -- callers that count records do that)."""
+        """Fold one event (does **not** bump ``records`` -- callers
+        that count records do that: :func:`fold` and the live
+        analyzer)."""
         handler = self._HANDLERS.get(type)
         if handler is not None:
             handler(self, t, fields)
@@ -237,43 +238,17 @@ class Folds:
 
 
 class RunLog:
-    """A parsed transaction log: records indexed by type."""
+    """A parsed transaction log: its records, in order."""
 
     def __init__(self, records: Iterable[dict],
                  read_status: Optional[ReadStatus] = None):
         self.records: List[dict] = list(records)
         self.read_status = read_status
-        self.by_type: Dict[str, List[dict]] = {}
-        for record in self.records:
-            self.by_type.setdefault(record.get("type", "?"),
-                                    []).append(record)
-        headers = self.by_type.get(ev.RUN, [])
-        self.meta: dict = headers[0] if headers else {}
-        self._folds: Optional[Folds] = None
-
-    @property
-    def folds(self) -> Folds:
-        """The records folded once through the shared reducers."""
-        if self._folds is None:
-            folds = Folds()
-            for record in self.records:
-                folds.add(record)
-            self._folds = folds
-        return self._folds
-
-    def completions(self, ok: Optional[bool] = True) -> List[dict]:
-        rows = self.by_type.get(ev.EXEC_END, [])
-        if ok is None:
-            return rows
-        return [r for r in rows if r.get("ok", True) == ok]
-
-    @property
-    def makespan(self) -> float:
-        rows = self.by_type.get(ev.EXEC_END, [])
-        return max((r["t_end"] for r in rows), default=0.0)
+        self.meta: dict = next((r for r in self.records
+                                if r.get("type") == ev.RUN), {})
 
 
-Source = Union[str, Iterable[dict], RunLog]
+Source = Union[txlog.Source, RunLog]
 
 
 def load(source: Source) -> RunLog:
@@ -285,10 +260,28 @@ def load(source: Source) -> RunLog:
     return RunLog(source)
 
 
-# -- stragglers -------------------------------------------------------------
+def fold(records: Iterable[dict]) -> Tuple[Folds, SpanBuilder]:
+    """Fold a record stream in one pass through the same
+    :class:`Folds` + :class:`~repro.obs.trace.SpanBuilder` pair that
+    :meth:`repro.obs.live.LiveAnalyzer.on_event` feeds."""
+    folds, spans = Folds(), SpanBuilder()
+    for record in records:
+        type_, t = record.get("type", "?"), record.get("t", 0.0)
+        folds.records += 1
+        folds.add_event(type_, t, record)
+        spans.on_event(type_, t, record)
+    return folds, spans
 
-def _stragglers_finalize(folds: Folds, top: int,
-                         slow_factor: float) -> dict:
+
+# -- finalizers -------------------------------------------------------------
+
+def _stragglers_finalize(folds: Folds, top: int) -> dict:
+    """Tasks far beyond their category median, and slow workers.
+
+    A task is a straggler when its execution time is at least
+    :data:`STRAGGLER_FACTOR` times its category's median; a worker is
+    slow when its tasks average at least 1.5x their category medians.
+    """
     rows = folds.exec_ok
     by_category: Dict[str, List[float]] = {}
     for task, category, worker, _tr, _td, t_start, t_end in rows:
@@ -302,7 +295,7 @@ def _stragglers_finalize(folds: Folds, top: int,
         median = medians[category]
         ratio = exec_time / median if median > 0 else 1.0
         worker_ratios.setdefault(worker, []).append(ratio)
-        if median > 0 and ratio >= slow_factor:
+        if median > 0 and ratio >= STRAGGLER_FACTOR:
             stragglers.append({
                 "task": task, "category": category,
                 "worker": worker, "exec_s": exec_time,
@@ -327,20 +320,8 @@ def _stragglers_finalize(folds: Folds, top: int,
     }
 
 
-def straggler_report(source: Source, top: int = 10,
-                     slow_factor: float = 2.0) -> dict:
-    """Tasks far beyond their category median, and slow workers.
-
-    A task is a straggler when its execution time is at least
-    ``slow_factor`` times its category's median; a worker is slow when
-    its tasks average at least 1.5x their category medians.
-    """
-    return _stragglers_finalize(load(source).folds, top, slow_factor)
-
-
-# -- transfers --------------------------------------------------------------
-
 def _transfers_finalize(folds: Folds, top: int) -> dict:
+    """Per-node and per-pair byte totals; the manager's traffic share."""
     def top_nodes(table: Dict[int, float]) -> List[dict]:
         ranked = sorted(table.items(), key=lambda kv: -kv[1])[:top]
         return [{"node": n, "bytes": b} for n, b in ranked]
@@ -360,14 +341,14 @@ def _transfers_finalize(folds: Folds, top: int) -> dict:
     }
 
 
-def transfer_hotspots(source: Source, top: int = 10) -> dict:
-    """Per-node and per-pair byte totals; the manager's traffic share."""
-    return _transfers_finalize(load(source).folds, top)
-
-
-# -- cache ------------------------------------------------------------------
-
 def _cache_finalize(folds: Folds, top: int) -> dict:
+    """Peak occupancy, eviction volume, and recovery activity.
+
+    Puts and evictions are folded in *record order* -- the log is
+    written in event order on a monotone sim clock, and an eviction at
+    time t causally precedes the put it made room for, so record order
+    is the exact interleaving (a timestamp sort cannot break the tie).
+    """
     top_peaks = sorted(folds.cache_peak.items(),
                        key=lambda kv: -kv[1])[:top]
     return {
@@ -382,20 +363,22 @@ def _cache_finalize(folds: Folds, top: int) -> dict:
     }
 
 
-def cache_pressure(source: Source, top: int = 10) -> dict:
-    """Peak occupancy, eviction volume, and recovery activity.
+def _critical_finalize(folds: Folds, spans: SpanBuilder) -> dict:
+    """Where turnaround time goes: queueing vs. stage-in vs. exec.
 
-    Puts and evictions are folded in *record order* -- the log is
-    written in event order on a monotone sim clock, and an eviction at
-    time t causally precedes the put it made room for, so record order
-    is the exact interleaving (a timestamp sort cannot break the tie).
+    Two complementary decompositions:
+
+    * **Totals over all tasks** (the Table I view), from the phase
+      timestamps carried by every EXEC_END record: ``t_ready ->
+      t_dispatch`` is manager queueing, ``t_dispatch -> t_start`` is
+      input staging, ``t_start -> t_end`` is worker-observed execution.
+      This says which phase costs the most aggregate time, but a
+      phase can dominate the totals without ever bounding the run.
+    * **The causal chain** (``chain`` key), from
+      :func:`repro.obs.trace.critical_path_chain`: one dependency-
+      linked path of spans whose segments sum to the *makespan*, so
+      it says which phase the end-to-end time actually consists of.
     """
-    return _cache_finalize(load(source).folds, top)
-
-
-# -- critical path ----------------------------------------------------------
-
-def _critical_finalize(folds: Folds, chain_source) -> dict:
     rows = folds.exec_ok
     phases = {"queued": 0.0, "stage_in": 0.0, "exec": 0.0}
     for _task, _cat, _w, t_ready, t_dispatch, t_start, t_end in rows:
@@ -404,8 +387,7 @@ def _critical_finalize(folds: Folds, chain_source) -> dict:
         phases["exec"] += max(0.0, t_end - t_start)
     turnaround = sum(phases.values())
     n = len(rows)
-    from .trace import critical_path_chain
-    chain = critical_path_chain(chain_source)
+    chain = critical_path_chain(spans)
     return {
         "tasks": n,
         "makespan": folds.makespan,
@@ -425,29 +407,13 @@ def _critical_finalize(folds: Folds, chain_source) -> dict:
     }
 
 
-def critical_path(source: Source) -> dict:
-    """Where turnaround time goes: queueing vs. stage-in vs. exec.
-
-    Two complementary decompositions:
-
-    * **Totals over all tasks** (the Table I view), from the phase
-      timestamps carried by every EXEC_END record: ``t_ready ->
-      t_dispatch`` is manager queueing, ``t_dispatch -> t_start`` is
-      input staging, ``t_start -> t_end`` is worker-observed execution.
-      This says which phase costs the most aggregate time, but a
-      phase can dominate the totals without ever bounding the run.
-    * **The causal chain** (``chain`` key), from
-      :func:`repro.obs.trace.critical_path_chain`: one dependency-
-      linked path of spans whose segments sum to the *makespan*, so
-      it says which phase the end-to-end time actually consists of.
-    """
-    log = load(source)
-    return _critical_finalize(log.folds, log.records)
-
-
-# -- tenants ----------------------------------------------------------------
-
 def _tenants_finalize(folds: Folds) -> dict:
+    """Per-tenant service quality from a multi-tenant facility run.
+
+    Driven by the ``tenant`` field the manager stamps on lifecycle
+    events (plus the facility's SUBMIT/ADMIT/SUBMISSION_DONE edges).
+    Returns ``{"tenants": []}`` for single-tenant logs.
+    """
     out = []
     for tenant in sorted(folds.tenant_rows):
         src = folds.tenant_rows[tenant]
@@ -467,14 +433,61 @@ def _tenants_finalize(folds: Folds) -> dict:
     return {"tenants": out}
 
 
-def tenant_breakdown(source: Source) -> dict:
-    """Per-tenant service quality from a multi-tenant facility run.
+#: sections ``report_data`` understands, in render order (the CLI
+#: validates --section values against this).
+SECTIONS = ("summary", "critical-path", "stragglers", "transfers",
+            "cache", "tenants")
 
-    Driven by the ``tenant`` field the manager stamps on lifecycle
-    events (plus the facility's SUBMIT/ADMIT/SUBMISSION_DONE edges).
-    Returns ``{"tenants": []}`` for single-tenant logs.
+
+def assemble(folds: Folds, spans: SpanBuilder, top: int = 10,
+             sections: Optional[Iterable[str]] = None) -> dict:
+    """Assemble the report dict from folded state.
+
+    ``spans`` is the span builder fed the same stream as ``folds``.
+    This is the single assembly path behind both :func:`report_data`
+    and ``LiveAnalyzer.snapshot`` -- sharing it is the streaming ==
+    batch guarantee.
     """
-    return _tenants_finalize(load(source).folds)
+    wanted = list(sections) if sections else list(SECTIONS)
+    unknown = [s for s in wanted if s not in SECTIONS]
+    if unknown:
+        raise ValueError(f"unknown sections {unknown}; have "
+                         f"{list(SECTIONS)}")
+    out: Dict[str, object] = {
+        "meta": dict(folds.meta),
+        "records": folds.records,
+    }
+    if "summary" in wanted:
+        out["summary"] = {
+            "tasks_ok": len(folds.exec_ok),
+            "tasks_failed": folds.exec_failed,
+            "makespan_s": folds.makespan,
+        }
+    if "critical-path" in wanted:
+        out["critical_path"] = _critical_finalize(folds, spans)
+    if "stragglers" in wanted:
+        out["stragglers"] = _stragglers_finalize(folds, top)
+    if "transfers" in wanted:
+        out["transfers"] = _transfers_finalize(folds, top)
+    if "cache" in wanted:
+        out["cache"] = _cache_finalize(folds, top)
+    if "tenants" in wanted:
+        tb = _tenants_finalize(folds)
+        out["tenants"] = tb
+        if tb["tenants"]:
+            out["tenant_chains"] = critical_path_by_tenant(spans)
+    return out
+
+
+def report_data(source: Source, top: int = 10,
+                sections: Optional[Iterable[str]] = None) -> dict:
+    """The report as one JSON-ready dict (the CLI's ``--json`` mode).
+
+    Section keys mirror the terminal report; unknown sections raise
+    ``ValueError`` so CI scripts fail loudly on typos.
+    """
+    folds, spans = fold(load(source).records)
+    return assemble(folds, spans, top=top, sections=sections)
 
 
 # -- rendering --------------------------------------------------------------
@@ -483,33 +496,32 @@ def _gb(nbytes: float) -> float:
     return nbytes / 1e9
 
 
-def render_report(source: Source, top: int = 10,
-                  sections: Optional[Iterable[str]] = None) -> str:
-    """Terminal report over a transaction log (the ``python -m
-    repro.obs`` output)."""
+def _fmt_opt(value: Optional[float]) -> str:
+    return "-" if value is None else f"{value:.1f}"
+
+
+def render_report(report: dict) -> str:
+    """Terminal tables for a :func:`report_data` dict (the ``python
+    -m repro.obs`` output): one block per section the dict holds."""
     from ..bench.report import banner, format_table  # lazy: avoids
     # importing the bench package (and its experiment drivers) when obs
     # is used as a library inside the schedulers.
 
-    log = load(source)
-    wanted = set(sections) if sections else {
-        "summary", "critical-path", "stragglers", "transfers", "cache",
-        "tenants"}
     parts: List[str] = []
-    meta = {k: v for k, v in log.meta.items()
-            if k not in ("type", "t", "schema")}
-    if "summary" in wanted:
-        failed = len(log.completions(ok=False))
+    if "summary" in report:
+        meta = {k: v for k, v in report["meta"].items()
+                if k != "schema"}
+        summary = report["summary"]
         parts.append(banner("RUN SUMMARY"))
         if meta:
             parts.append(format_table(
                 ["Key", "Value"], sorted(meta.items())))
         parts.append(format_table(
             ["Tasks ok", "Tasks failed", "Makespan (s)", "Records"],
-            [[len(log.completions(ok=True)), failed,
-              log.makespan, len(log.records)]]))
-    if "critical-path" in wanted:
-        cp = critical_path(log)
+            [[summary["tasks_ok"], summary["tasks_failed"],
+              summary["makespan_s"], report["records"]]]))
+    if "critical_path" in report:
+        cp = report["critical_path"]
         parts.append(banner("CRITICAL PATH: where turnaround goes"))
         parts.append(format_table(
             ["Phase", "Total (s)", "Mean (s)", "Fraction"],
@@ -531,11 +543,12 @@ def render_report(source: Source, top: int = 10,
                 title=(f"causal chain: {chain['tasks_on_path']} tasks "
                        f"explain the {chain['total_s']:.1f} s makespan "
                        f"(ends at {chain['end_task']})")))
-    if "stragglers" in wanted:
-        sr = straggler_report(log, top=top)
+    if "stragglers" in report:
+        sr = report["stragglers"]
         parts.append(banner(
             f"STRAGGLERS: {sr['straggler_count']} of "
-            f"{sr['tasks_ok']} tasks >= 2x category median"))
+            f"{sr['tasks_ok']} tasks >= {STRAGGLER_FACTOR:g}x category "
+            f"median"))
         if sr["stragglers"]:
             parts.append(format_table(
                 ["Task", "Category", "Worker", "Exec (s)", "x median"],
@@ -547,8 +560,8 @@ def render_report(source: Source, top: int = 10,
                 [(w["worker"], f"{w['mean_ratio']:.2f}", w["tasks"])
                  for w in sr["slow_workers"]],
                 title="workers averaging >= 1.5x category median"))
-    if "transfers" in wanted:
-        th = transfer_hotspots(log, top=top)
+    if "transfers" in report:
+        th = report["transfers"]
         parts.append(banner(
             f"TRANSFER HOTSPOTS: {th['transfers']} transfers, "
             f"{_gb(th['total_bytes']):.2f} GB total, "
@@ -565,115 +578,49 @@ def render_report(source: Source, top: int = 10,
                 [(k, _gb(b)) for k, b
                  in sorted(th["by_kind"].items(),
                            key=lambda kv: -kv[1])]))
-    if "cache" in wanted:
-        cp = cache_pressure(log, top=top)
+    if "cache" in report:
+        ca = report["cache"]
         parts.append(banner(
-            f"CACHE PRESSURE: {_gb(cp['bytes_cached']):.2f} GB cached, "
-            f"{cp['evictions']} evictions "
-            f"({_gb(cp['evicted_bytes']):.2f} GB), "
-            f"{cp['replica_losses']} replica losses, "
-            f"{cp['recoveries']} recoveries"))
-        if cp["peak_by_worker"]:
+            f"CACHE PRESSURE: {_gb(ca['bytes_cached']):.2f} GB cached, "
+            f"{ca['evictions']} evictions "
+            f"({_gb(ca['evicted_bytes']):.2f} GB), "
+            f"{ca['replica_losses']} replica losses, "
+            f"{ca['recoveries']} recoveries"))
+        if ca["peak_by_worker"]:
             parts.append(format_table(
                 ["Worker", "Peak cache (GB)"],
                 [(p["worker"], _gb(p["bytes"]))
-                 for p in cp["peak_by_worker"]],
+                 for p in ca["peak_by_worker"]],
                 title="highest peak occupancy"))
-        if cp["workers_preempted"]:
+        if ca["workers_preempted"]:
             parts.append("workers preempted: "
-                         + ", ".join(map(str, cp["workers_preempted"])))
-    if "tenants" in wanted:
-        tb = tenant_breakdown(log)
-        if tb["tenants"]:  # silent on single-tenant logs
-            parts.append(banner(
-                f"TENANTS: {len(tb['tenants'])} sharing the manager"))
+                         + ", ".join(map(str, ca["workers_preempted"])))
+    tenants = report.get("tenants", {}).get("tenants")
+    if tenants:  # silent on single-tenant logs
+        parts.append(banner(
+            f"TENANTS: {len(tenants)} sharing the manager"))
+        parts.append(format_table(
+            ["Tenant", "Subs", "Adm", "Q", "Rej", "Tasks",
+             "Wait p95 (s)", "Turnaround p95 (s)", "Peer GB"],
+            [(t["tenant"], t["submissions"], t["admitted"],
+              t["queued"], t["rejected"], t["tasks_done"],
+              _fmt_opt(t["p95_dispatch_wait_s"]),
+              _fmt_opt(t["p95_turnaround_s"]),
+              f"{_gb(t['peer_cache_bytes']):.2f}")
+             for t in tenants]))
+        chains = report["tenant_chains"]
+        rows = []
+        for tenant in sorted(chains):
+            chain = chains[tenant]
+            if not chain["tasks_on_path"]:
+                continue
+            dominant = max(chain["phase_totals"],
+                           key=chain["phase_totals"].get)
+            rows.append((tenant, f"{chain['total_s']:.1f}",
+                         chain["tasks_on_path"], dominant))
+        if rows:
             parts.append(format_table(
-                ["Tenant", "Subs", "Adm", "Q", "Rej", "Tasks",
-                 "Wait p95 (s)", "Turnaround p95 (s)", "Peer GB"],
-                [(t["tenant"], t["submissions"], t["admitted"],
-                  t["queued"], t["rejected"], t["tasks_done"],
-                  _fmt_opt(t["p95_dispatch_wait_s"]),
-                  _fmt_opt(t["p95_turnaround_s"]),
-                  f"{_gb(t['peer_cache_bytes']):.2f}")
-                 for t in tb["tenants"]]))
-            from .trace import critical_path_by_tenant
-            chains = critical_path_by_tenant(log.records)
-            rows_ = []
-            for tenant in sorted(chains):
-                chain = chains[tenant]
-                if not chain["tasks_on_path"]:
-                    continue
-                dominant = max(chain["phase_totals"],
-                               key=chain["phase_totals"].get)
-                rows_.append((tenant, f"{chain['total_s']:.1f}",
-                              chain["tasks_on_path"], dominant))
-            if rows_:
-                parts.append(format_table(
-                    ["Tenant", "Chain (s)", "Tasks on path",
-                     "Dominant phase"], rows_,
-                    title="per-tenant critical-path chains"))
+                ["Tenant", "Chain (s)", "Tasks on path",
+                 "Dominant phase"], rows,
+                title="per-tenant critical-path chains"))
     return "\n\n".join(parts)
-
-
-#: sections ``render_report``/``report_data`` understand, in render
-#: order (the CLI validates --section values against this).
-SECTIONS = ("summary", "critical-path", "stragglers", "transfers",
-            "cache", "tenants")
-
-
-def assemble(folds: Folds, chain_source, top: int = 10,
-             sections: Optional[Iterable[str]] = None) -> dict:
-    """Assemble the report dict from folded state.
-
-    ``chain_source`` is whatever :func:`critical_path_chain` accepts
-    for the same stream: the loaded record list (batch) or a live
-    :class:`~repro.obs.trace.SpanBuilder`.  This is the single
-    assembly path behind both :func:`report_data` and
-    ``LiveAnalyzer.snapshot`` -- sharing it is the streaming == batch
-    guarantee.
-    """
-    wanted = list(sections) if sections else list(SECTIONS)
-    unknown = [s for s in wanted if s not in SECTIONS]
-    if unknown:
-        raise ValueError(f"unknown sections {unknown}; have "
-                         f"{list(SECTIONS)}")
-    out: Dict[str, object] = {
-        "meta": dict(folds.meta),
-        "records": folds.records,
-    }
-    if "summary" in wanted:
-        out["summary"] = {
-            "tasks_ok": len(folds.exec_ok),
-            "tasks_failed": folds.exec_failed,
-            "makespan_s": folds.makespan,
-        }
-    if "critical-path" in wanted:
-        out["critical_path"] = _critical_finalize(folds, chain_source)
-    if "stragglers" in wanted:
-        out["stragglers"] = _stragglers_finalize(folds, top, 2.0)
-    if "transfers" in wanted:
-        out["transfers"] = _transfers_finalize(folds, top)
-    if "cache" in wanted:
-        out["cache"] = _cache_finalize(folds, top)
-    if "tenants" in wanted:
-        tb = _tenants_finalize(folds)
-        out["tenants"] = tb
-        if tb["tenants"]:
-            from .trace import critical_path_by_tenant
-            out["tenant_chains"] = critical_path_by_tenant(chain_source)
-    return out
-
-
-def report_data(source: Source, top: int = 10,
-                sections: Optional[Iterable[str]] = None) -> dict:
-    """The report as one JSON-ready dict (the CLI's ``--json`` mode).
-
-    Section keys mirror the terminal report; unknown sections raise
-    ``ValueError`` so CI scripts fail loudly on typos.
-    """
-    log = load(source)
-    return assemble(log.folds, log.records, top=top, sections=sections)
-
-
-def _fmt_opt(value: Optional[float]) -> str:
-    return "-" if value is None else f"{value:.1f}"

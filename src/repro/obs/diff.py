@@ -30,9 +30,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Union
 
 from . import events as ev
+from . import txlog
 from .trace import (SCHEDULE_WAIT, EXECUTE, SpanBuilder,
                     _attempt_phases, _final_attempt)
-from .txlog import read_records
+from .txlog import records
 
 __all__ = ["diff_runs", "explain_diff", "render_diff"]
 
@@ -41,7 +42,7 @@ PHASES = ("schedule_wait", "stage_in", "execute")
 _PHASE_KEY = {SCHEDULE_WAIT: "schedule_wait", "stage-in": "stage_in",
               EXECUTE: "execute"}
 
-Source = Union[str, SpanBuilder, List[dict]]
+Source = Union[txlog.Source, SpanBuilder]
 
 
 def _profile(source: Source) -> dict:
@@ -55,9 +56,7 @@ def _profile(source: Source) -> dict:
     categories: Dict[str, str] = {}
     if builder is None:
         builder = SpanBuilder()
-        records = (read_records(source) if isinstance(source, str)
-                   else source)
-        for record in records:
+        for record in records(source):
             if record.get("type") == ev.READY:
                 task = record.get("task")
                 if task is not None:

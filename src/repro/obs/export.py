@@ -21,14 +21,15 @@ transaction log, preserving the live == replay invariant.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import events as ev
+from . import txlog
 from .metrics import MetricsRegistry
 from .trace import (EXECUTE, INPUT_TRANSFER, OUTPUT_COMMIT,
                     SCHEDULE_WAIT, Span, SpanBuilder, build_spans,
                     critical_path_chain)
-from .txlog import read_records
+from .txlog import records
 
 __all__ = [
     "chrome_trace",
@@ -40,7 +41,7 @@ __all__ = [
 #: Perfetto sorts tracks by pid; keep the chain on top.
 CRITICAL_PATH_PID = 0
 
-Source = Union[str, Iterable[dict], SpanBuilder]
+Source = Union[txlog.Source, SpanBuilder]
 
 
 def _builder(source: Source) -> SpanBuilder:
@@ -255,19 +256,16 @@ def prometheus_exposition(registry: MetricsRegistry,
     return "\n".join(lines) + "\n"
 
 
-def registry_from_txlog(source: Union[str, Iterable[dict]]
-                        ) -> MetricsRegistry:
+def registry_from_txlog(source: txlog.Source) -> MetricsRegistry:
     """Rebuild a :class:`MetricsRegistry` by replaying a transaction
     log through a fresh bus: the standard counters/histograms come out
     exactly as a live bound registry would have accumulated them, and
     the METRIC_SAMPLE rows are restored as the gauge time series (the
     final sample becomes the gauges' exported value)."""
-    records = (read_records(source) if isinstance(source, str)
-               else source)
     bus = ev.EventBus()
     registry = MetricsRegistry().bind(bus)
     last_sample: Optional[dict] = None
-    for r in records:
+    for r in records(source):
         type_ = r.get("type")
         t = r.get("t", 0.0)
         if type_ == ev.METRIC_SAMPLE:

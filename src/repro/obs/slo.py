@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Union
 
 from . import events as ev
+from .txlog import records
 
 __all__ = ["SLORule", "SLOPolicy", "SLOMonitor", "NULL_SLO_MONITOR",
            "NullSLOMonitor", "RULE_KINDS", "evaluate",
@@ -235,6 +236,20 @@ class SLOMonitor:
     def on_record(self, record: dict) -> None:
         self.on_event(record.get("type", "?"), record.get("t", 0.0),
                       record)
+
+    def replay(self, record: dict) -> None:
+        """Fold one transaction-log record (:func:`evaluate` and
+        ``obs watch --slo``).
+
+        The RUN header sets ``expected_tasks``.  Stamped SLO_ALERT
+        records are skipped -- the monitor re-derives them -- and so
+        is the RUN_END footer: its makespan is for :meth:`finish`.
+        """
+        type_ = record.get("type")
+        if type_ == ev.RUN:
+            self.expected_tasks = record.get("tasks")
+        elif type_ != ev.SLO_ALERT and type_ != ev.RUN_END:
+            self.on_record(record)
 
     def prime(self, tasks_done: int, t: float = 0.0) -> None:
         """Seed progress committed before this monitor attached.
@@ -463,31 +478,13 @@ def evaluate(source, policy: SLOPolicy) -> SLOMonitor:
     stamped in the log are ignored -- the monitor re-derives them --
     so re-evaluating an already-monitored log is idempotent.
     """
-    from .txlog import read_records
-    records = (read_records(source) if isinstance(source, str)
-               else source)
-    expected = None
-    monitor = None
-    footer = None
-    for record in records:
-        type_ = record.get("type")
-        if monitor is None:
-            meta_tasks = (record.get("tasks")
-                          if type_ == ev.RUN else None)
-            expected = meta_tasks
-            monitor = SLOMonitor(policy, expected_tasks=expected)
-            if type_ == ev.RUN:
-                continue
-        if type_ == ev.SLO_ALERT:
-            continue
-        if type_ == ev.RUN_END:
+    monitor = SLOMonitor(policy)
+    footer: dict = {}
+    for record in records(source):
+        monitor.replay(record)
+        if record.get("type") == ev.RUN_END:
             footer = record
-            continue
-        monitor.on_record(record)
-    if monitor is None:
-        monitor = SLOMonitor(policy)
-    makespan = footer.get("makespan") if footer else None
-    monitor.finish(makespan=makespan)
+    monitor.finish(makespan=footer.get("makespan"))
     return monitor
 
 

@@ -44,7 +44,7 @@ import zlib
 from typing import Dict, Iterable, List, Optional, Union
 
 from . import events as ev
-from .txlog import read_records
+from .txlog import Source, read_records
 
 __all__ = [
     "Span",
@@ -367,15 +367,6 @@ class SpanBuilder:
     def tenants(self) -> List[str]:
         return sorted({s.tenant for s in self.roots.values()
                        if s.tenant is not None})
-
-
-Source = Union[str, Iterable[dict]]
-
-
-def _records(source: Source) -> Iterable[dict]:
-    if isinstance(source, str):
-        return read_records(source)
-    return source
 
 
 def build_spans(source: Source, status=None) -> SpanBuilder:

@@ -37,7 +37,7 @@ from ..sim.trace import TaskRecord, TraceRecorder, TransferRecord
 from . import events as ev
 
 __all__ = ["TransactionLog", "ReadStatus", "TailReader",
-           "read_records", "replay", "run_meta",
+           "Source", "read_records", "records", "replay", "run_meta",
            "install_signal_handlers", "close_open_logs"]
 
 SCHEMA_VERSION = 1
@@ -332,10 +332,12 @@ class TailReader:
         self.close()
 
 
+#: a transaction log: its path, or its records already parsed
 Source = Union[str, Iterable[dict]]
 
 
-def _records(source: Source) -> Iterable[dict]:
+def records(source: Source) -> Iterable[dict]:
+    """The records of ``source``: read from disk when it is a path."""
     if isinstance(source, str):
         return read_records(source)
     return source
@@ -343,7 +345,7 @@ def _records(source: Source) -> Iterable[dict]:
 
 def run_meta(source: Source) -> dict:
     """The RUN header of a log (empty dict if missing)."""
-    for record in _records(source):
+    for record in records(source):
         if record.get("type") == ev.RUN:
             return record
         break
@@ -359,7 +361,7 @@ def replay(source: Source) -> TraceRecorder:
     match the live recorder's for the same run.
     """
     trace = TraceRecorder()
-    for r in _records(source):
+    for r in records(source):
         type_ = r.get("type")
         if type_ == ev.EXEC_END:
             trace.task(TaskRecord(

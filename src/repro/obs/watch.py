@@ -29,13 +29,9 @@ import sys
 import time
 from typing import Optional
 
-from . import events as ev
+from ..cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_UNREADABLE
 from .live import LiveAnalyzer
 from .txlog import TailReader
-
-EXIT_OK = 0
-EXIT_UNREADABLE = 2
-EXIT_INCOMPLETE = 3
 
 #: ANSI: cursor home + clear to end of screen (refresh in place)
 _CLEAR = "\x1b[H\x1b[J"
@@ -101,12 +97,7 @@ def main(argv: Optional[list] = None) -> int:
             for record in batch:
                 live.on_record(record)
                 if monitor is not None:
-                    type_ = record.get("type")
-                    if type_ == ev.RUN:
-                        monitor.expected_tasks = record.get("tasks")
-                    elif type_ != ev.SLO_ALERT:
-                        # re-derive alerts; never replay stamped ones
-                        monitor.on_record(record)
+                    monitor.replay(record)
             if batch and not args.json:
                 frames += 1
                 frame = live.render_dashboard(top=top,

@@ -35,17 +35,13 @@ from typing import Optional
 
 from ..bench.runners import build_environment
 from ..bench.serve import serve_campaign
+from ..cli import EXIT_INCOMPLETE, EXIT_KILLED, EXIT_OK, EXIT_UNREADABLE
 from ..facility.report import fairness_summary
 from ..obs.txlog import install_signal_handlers
 from .checkpoint import (CheckpointError, load_checkpoint,
                          restore_service, tenant_summaries)
 from .client import run_campaign
 from .service import FacilityService
-
-EXIT_OK = 0
-EXIT_UNREADABLE = 2
-EXIT_INCOMPLETE = 3
-EXIT_KILLED = 137
 
 _ENV_KEYS = ("tenants", "submissions", "workload", "scale", "arrival",
              "workers", "seed", "dynamic_every", "inflight_quota",

@@ -7,12 +7,12 @@ halves:
 * a CHECKPOINT record stamped into the service's transaction log --
   the durable marker later analysis and the restore chain key on, and
 * a JSON sidecar whose restore state is **derived by folding the
-  txlog itself** (:class:`CheckpointFolds`, embedding the analyzer's
-  :class:`~repro.obs.analyze.Folds`): committed tasks from TASK_DONE
-  records, per-node cache residency from CACHE_PUT/CACHE_EVICT,
-  runtime-discovered outputs from OUTPUT_DISCOVERED.  What the log
-  replays is what the checkpoint restores -- there is no second
-  source of truth for execution state.
+  txlog itself** (:class:`CheckpointFolds`): committed tasks from
+  TASK_DONE records, per-node cache residency from
+  CACHE_PUT/CACHE_EVICT, runtime-discovered outputs from
+  OUTPUT_DISCOVERED.  What the log replays is what the checkpoint
+  restores -- there is no second source of truth for execution
+  state.
 
 The sidecar additionally journals each submission's DAG (tasks,
 files, dynamic outputs) and admission timeline, because the txlog
@@ -40,7 +40,6 @@ from ..core.manager import MANAGER_NODE
 from ..core.spec import SimTask, SimWorkflow
 from ..facility.tenant import Admitted, Queued
 from ..obs import events as ev
-from ..obs.analyze import Folds
 from ..obs.txlog import read_records
 from .futures import SubmissionFuture
 
@@ -102,16 +101,12 @@ def workflow_from_dict(data: dict) -> SimWorkflow:
 class CheckpointFolds:
     """Restore state folded from one epoch's transaction log.
 
-    Embeds the analyzer's :class:`Folds` (same per-record handlers
-    the batch/live analyzers run, so the checkpoint's ``analyzer``
-    block agrees with ``python -m repro.obs`` on the same log) and
-    adds the three folds restore needs that the analyzer's bounded
+    The three folds restore needs that the analyzer's bounded
     aggregates deliberately forget: the committed-task map, per-node
     cache residency, and runtime-discovered outputs.
     """
 
     def __init__(self):
-        self.folds = Folds()
         #: node id -> {file name: bytes} resident at the fold point
         self.resident: Dict[int, Dict[str, float]] = {}
         #: committed task id -> declared output names
@@ -120,7 +115,6 @@ class CheckpointFolds:
         self.discovered: List[dict] = []
 
     def add(self, record: dict) -> None:
-        self.folds.add(record)
         rtype = record.get("type")
         if rtype == ev.CACHE_PUT:
             name = record.get("file")
@@ -219,7 +213,6 @@ def build_checkpoint(service) -> dict:
             "status": "queued" if sub.t_admit is None else "admitted",
             "workflow": entry["workflow"],
         })
-    folds = cf.folds
     return {
         "version": CHECKPOINT_VERSION,
         "t": service.sim.now,
@@ -235,14 +228,6 @@ def build_checkpoint(service) -> dict:
             [name, size] for name, size in resident.items())
             for node, resident in sorted(cf.resident.items())
             if resident},
-        "analyzer": {
-            "records": folds.records,
-            "tasks_ok": len(folds.exec_ok),
-            "tasks_failed": folds.exec_failed,
-            "makespan": folds.makespan,
-            "transfer_gb": folds.transfer_total / 1e9,
-            "evictions": folds.evictions,
-        },
         "summaries": tenant_summaries(facility, set(done)),
     }
 

@@ -12,8 +12,8 @@ import signal
 
 import pytest
 
-from repro.facility.__main__ import (EXIT_INCOMPLETE, EXIT_OK,
-                                     EXIT_UNREADABLE, main)
+from repro.cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_UNREADABLE
+from repro.facility.__main__ import main
 
 FAST = ["--tenants", "2", "--submissions", "1", "--scale", "0.02",
         "--workers", "2", "--arrival", "burst", "--no-baseline"]

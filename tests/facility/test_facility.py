@@ -166,26 +166,27 @@ class TestObservability:
                    for r in hits)
 
     def test_analyzer_tenant_breakdown(self, tmp_path):
-        from repro.obs.analyze import render_report, tenant_breakdown
+        from repro.obs.analyze import render_report, report_data
         path = str(tmp_path / "fac.jsonl")
         fac = Facility(make_env(), [Tenant("a"), Tenant("b")],
                        txlog_path=path)
         fac.run(burst(["a", "b"]))
-        breakdown = tenant_breakdown(path)
+        report = report_data(path)
+        breakdown = report["tenants"]
         assert [t["tenant"] for t in breakdown["tenants"]] == ["a", "b"]
         for row in breakdown["tenants"]:
             assert row["tasks_done"] == 5
             assert row["mean_turnaround_s"] > 0
-        assert "TENANTS" in render_report(path)
+        assert "TENANTS" in render_report(report)
 
     def test_single_tenant_report_unchanged(self, tmp_path):
         """Plain (non-facility) logs render no tenants section."""
         from repro.bench.runners import run_scheduler
-        from repro.obs.analyze import render_report
+        from repro.obs.analyze import render_report, report_data
         path = str(tmp_path / "plain.jsonl")
         run_scheduler(make_env(), small_workflow(), "taskvine",
                       txlog_path=path)
-        assert "TENANTS" not in render_report(path)
+        assert "TENANTS" not in render_report(report_data(path))
 
 
 class TestValidation:

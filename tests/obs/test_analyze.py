@@ -43,11 +43,11 @@ class TestRunLog:
     def test_indexing_and_meta(self):
         log = analyze.load(SAMPLE)
         assert log.meta["scheduler"] == "taskvine"
-        assert len(log.by_type["EXEC_END"]) == 5
-        assert len(log.completions(ok=True)) == 4
-        assert len(log.completions(ok=False)) == 1
-        assert len(log.completions(ok=None)) == 5
-        assert log.makespan == 10.5
+        assert len(log.records) == len(SAMPLE)
+        summary = analyze.report_data(log)["summary"]
+        assert summary["tasks_ok"] == 4
+        assert summary["tasks_failed"] == 1
+        assert summary["makespan_s"] == 10.5
 
     def test_load_passthrough(self):
         log = analyze.load(SAMPLE)
@@ -56,12 +56,12 @@ class TestRunLog:
     def test_empty(self):
         log = analyze.load([])
         assert log.meta == {}
-        assert log.makespan == 0.0
+        assert analyze.report_data(log)["summary"]["makespan_s"] == 0.0
 
 
 class TestStragglers:
     def test_detection(self):
-        report = analyze.straggler_report(SAMPLE)
+        report = analyze.report_data(SAMPLE)["stragglers"]
         # median exec of proc = (2.0+2.2+10.0+7.0)/... median = 4.6;
         # c (10.0) is >= 2x median, d (7.0) is not
         assert report["tasks_ok"] == 4
@@ -70,24 +70,24 @@ class TestStragglers:
         assert report["stragglers"][0]["worker"] == 2
 
     def test_slow_workers(self):
-        report = analyze.straggler_report(SAMPLE)
+        report = analyze.report_data(SAMPLE)["stragglers"]
         slow = {w["worker"] for w in report["slow_workers"]}
         assert slow == {2}
 
     def test_top_limits_output(self):
-        report = analyze.straggler_report(SAMPLE, top=0)
+        report = analyze.report_data(SAMPLE, top=0)["stragglers"]
         assert report["stragglers"] == []
         assert report["straggler_count"] == 1
 
     def test_empty_log(self):
-        report = analyze.straggler_report([])
+        report = analyze.report_data([])["stragglers"]
         assert report["tasks_ok"] == 0
         assert report["stragglers"] == []
 
 
 class TestTransfers:
     def test_hotspots(self):
-        report = analyze.transfer_hotspots(SAMPLE)
+        report = analyze.report_data(SAMPLE)["transfers"]
         assert report["transfers"] == 2
         assert report["total_bytes"] == 1000.0
         assert report["manager_share"] == pytest.approx(0.1)
@@ -97,14 +97,14 @@ class TestTransfers:
         assert report["top_receivers"][0]["node"] == 1
 
     def test_empty(self):
-        report = analyze.transfer_hotspots([])
+        report = analyze.report_data([])["transfers"]
         assert report["total_bytes"] == 0.0
         assert report["manager_share"] == 0.0
 
 
 class TestCachePressure:
     def test_peaks_account_for_interleaved_evictions(self):
-        report = analyze.cache_pressure(SAMPLE)
+        report = analyze.report_data(SAMPLE)["cache"]
         # worker 1: 100, 150, 50 (evict), 75 -> peak 150, not 175
         peaks = {p["worker"]: p["bytes"]
                  for p in report["peak_by_worker"]}
@@ -114,14 +114,14 @@ class TestCachePressure:
         assert report["bytes_cached"] == 175.0
 
     def test_empty(self):
-        report = analyze.cache_pressure([])
+        report = analyze.report_data([])["cache"]
         assert report["peak_by_worker"] == []
         assert report["replica_losses"] == 0
 
 
 class TestCriticalPath:
     def test_phases(self):
-        report = analyze.critical_path(SAMPLE)
+        report = analyze.report_data(SAMPLE)["critical_path"]
         assert report["tasks"] == 4
         assert report["total_s"]["queued"] == pytest.approx(0.4)
         assert report["total_s"]["stage_in"] == pytest.approx(1.6)
@@ -130,14 +130,14 @@ class TestCriticalPath:
         assert sum(report["fraction"].values()) == pytest.approx(1.0)
 
     def test_empty(self):
-        report = analyze.critical_path([])
+        report = analyze.report_data([])["critical_path"]
         assert report["tasks"] == 0
         assert report["dominant"] is None
 
 
 class TestRenderReport:
     def test_all_sections(self):
-        text = analyze.render_report(SAMPLE)
+        text = analyze.render_report(analyze.report_data(SAMPLE))
         assert "RUN SUMMARY" in text
         assert "CRITICAL PATH" in text
         assert "STRAGGLERS" in text
@@ -146,7 +146,8 @@ class TestRenderReport:
         assert "taskvine" in text
 
     def test_section_filter(self):
-        text = analyze.render_report(SAMPLE, sections=["stragglers"])
+        text = analyze.render_report(
+            analyze.report_data(SAMPLE, sections=["stragglers"]))
         assert "STRAGGLERS" in text
         assert "CACHE PRESSURE" not in text
 

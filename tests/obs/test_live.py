@@ -21,8 +21,8 @@ from repro.obs.__main__ import main as obs_main
 from repro.obs.live import LiveAnalyzer
 from repro.obs.trace import build_spans
 from repro.obs.txlog import ReadStatus, read_records
-from repro.obs.watch import (EXIT_INCOMPLETE, EXIT_OK,
-                             EXIT_UNREADABLE, main as watch_main)
+from repro.cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_UNREADABLE
+from repro.obs.watch import main as watch_main
 
 
 def as_bytes(report: dict) -> str:

@@ -8,7 +8,9 @@ transaction log, the chaos scorecard grades them, and post-hoc
 the log -- idempotently, because stamped alerts are never replayed.
 """
 
+import dataclasses
 import json
+import os
 
 import pytest
 
@@ -259,3 +261,57 @@ class TestInLogStamping:
         assert "deadline" in report
         assert "VIOLATED" in report
         assert render_slo_report(NULL_SLO_MONITOR) == ""
+
+
+EXAMPLE_POLICY = os.path.join(os.path.dirname(__file__), os.pardir,
+                              os.pardir, "examples", "slo.json")
+
+
+@pytest.fixture(scope="module")
+def storm_txlog(tmp_path_factory):
+    """``python -m repro.bench run --scale 0.3 --workers 16 --chaos
+    preempt-storm-50``: eight of sixteen workers preempted."""
+    from repro.bench import calibration as cal
+    from repro.bench.runners import build_environment, run_scheduler
+    from repro.bench.workloads import build_workflow
+    from repro.chaos import get_scenario
+    from repro.hep.datasets import TABLE2
+
+    base = TABLE2["DV3-Small"]
+    spec = dataclasses.replace(base, name="storm",
+                               n_tasks=int(base.n_tasks * 0.3),
+                               input_bytes=base.input_bytes * 0.3)
+    path = str(tmp_path_factory.mktemp("storm") / "storm.jsonl")
+    run_scheduler(build_environment(16, seed=11),
+                  build_workflow(spec, arity=cal.REDUCTION_ARITY,
+                                 seed=11),
+                  "taskvine", txlog_path=path,
+                  chaos=get_scenario("preempt-storm-50"))
+    return path
+
+
+class TestReplayStep:
+    def test_watch_prints_the_evaluate_table(self, storm_txlog,
+                                             capsys):
+        from repro.obs.watch import main as watch_main
+
+        expected = render_slo_report(
+            evaluate(storm_txlog, SLOPolicy.from_file(EXAMPLE_POLICY)))
+        assert "loss-budget   worker_loss_budget   10         BURN" \
+            in expected
+        assert watch_main([storm_txlog, "--slo", EXAMPLE_POLICY,
+                           "--no-clear"]) == 0
+        assert capsys.readouterr().out.endswith("\n" + expected + "\n")
+
+    def test_replay_skips_header_footer_and_stamped_alerts(self):
+        m = SLOMonitor(policy({"name": "loss", "kind":
+                               "worker_loss_budget", "threshold": 2}))
+        for record in (
+                {"type": ev.RUN, "t": 0.0, "tasks": 7},
+                {"type": ev.SLO_ALERT, "t": 1.0, "rule": "loss"},
+                {"type": ev.WORKER_PREEMPT, "t": 2.0, "worker": 1},
+                {"type": ev.RUN_END, "t": 9.0, "makespan": 3.0}):
+            m.replay(record)
+        assert m.expected_tasks == 7
+        assert m.last_t == 2.0
+        assert [a["status"] for a in m.alerts] == [BURN]
