@@ -1,4 +1,6 @@
-"""Exit codes shared by every ``python -m repro.*`` command.
+"""Conventions shared by every ``python -m repro.*`` command.
+
+:func:`print_json` writes every ``--json`` document; the exit codes are:
 
 * ``0`` -- done: report produced, run complete, no regression.
 * ``2`` -- unreadable or empty input (``bench sentinel``: usage
@@ -10,7 +12,15 @@
   way SIGKILL would (128 + 9), for crash drills.
 """
 
+import json
+
 EXIT_OK = 0
 EXIT_UNREADABLE = 2
 EXIT_INCOMPLETE = 3
 EXIT_KILLED = 137
+
+
+def print_json(doc) -> None:
+    """Print ``doc`` the way every ``--json`` flag does: indented,
+    sorted keys, non-JSON values as ``str``."""
+    print(json.dumps(doc, indent=2, sort_keys=True, default=str))

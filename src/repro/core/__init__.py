@@ -4,15 +4,6 @@ from .cache import ReplicaMap
 from .config import TASK_MODE_FUNCTIONS, TASK_MODE_TASKS, SchedulerConfig
 from .files import FileKind, SimFile, cachename
 from .manager import MANAGER_NODE, RunResult, SchedulerError, TaskVineManager
-from .scheduling import (
-    LocalityPolicy,
-    PackPolicy,
-    PlacementPolicy,
-    RandomPolicy,
-    RoundRobinPolicy,
-    SpreadPolicy,
-    make_policy,
-)
 from .spec import SimTask, SimWorkflow, WorkflowError
 from .worker import CacheEntry, WorkerAgent
 
@@ -22,6 +13,4 @@ __all__ = [
     "SimFile", "FileKind", "cachename",
     "SimTask", "SimWorkflow", "WorkflowError",
     "WorkerAgent", "CacheEntry", "ReplicaMap",
-    "PlacementPolicy", "LocalityPolicy", "RoundRobinPolicy",
-    "RandomPolicy", "PackPolicy", "SpreadPolicy", "make_policy",
 ]

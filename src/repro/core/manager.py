@@ -146,7 +146,6 @@ class TaskVineManager:
                  storage: SharedFilesystem, workflow: SimWorkflow,
                  config: Optional[SchedulerConfig] = None,
                  trace: Optional[TraceRecorder] = None,
-                 policy: Optional["PlacementPolicy"] = None,
                  bus=None,
                  ready_queue: Optional[ReadyQueue] = None):
         self.sim = sim
@@ -154,9 +153,6 @@ class TaskVineManager:
         self.storage = storage
         self.workflow = workflow
         self.config = config or SchedulerConfig()
-        #: explicit placement policy; None uses the built-in fast path
-        #: (locality when config.locality_scheduling, else round-robin).
-        self.policy = policy
         self.trace = trace if trace is not None else cluster.trace
         #: observability bus for lifecycle edges (defaults to the
         #: trace's bus, else the zero-cost null bus).  When a bus is
@@ -228,6 +224,9 @@ class TaskVineManager:
             workflow, "tenant_of_file", None)
         self._equivalents_of: Optional[Callable[[str], Iterable[str]]] = \
             getattr(workflow, "equivalents", None)
+        #: rotation counter of the multi-tenant placement fallback
+        #: (see :meth:`_pick_worker`)
+        self._rotation = 0
         #: while True, _workflow_complete() never fires: the facility
         #: holds the run open for submissions arriving over sim time.
         self.hold_open = False
@@ -582,12 +581,52 @@ class TaskVineManager:
             name=task_id)
         self.task_procs[task_id] = proc
 
-    # -- placement policy ---------------------------------------------------
+    # -- placement ----------------------------------------------------------
     def _pick_worker(self, task_id: str) -> Optional[WorkerAgent]:
         task = self.workflow.tasks[task_id]
         need = task.cores
-        if self.policy is not None:
-            return self._pick_with_policy(task)
+        if self._equivalents_of is not None:
+            # Multi-tenant placement: the first free worker holding the
+            # most input bytes, directly or as a content-equivalent
+            # replica staged under another tenant's namespace; with no
+            # holder, the next free worker in rotation.  Scores every
+            # free worker: O(free workers x inputs).
+            candidates = []
+            stale = []
+            for node_id in self.free_workers:
+                agent = self.agents.get(node_id)
+                if agent is None or not agent.alive:
+                    stale.append(node_id)
+                    continue
+                slots = agent.free_slots()
+                if slots >= need:
+                    candidates.append(agent)
+                elif slots <= 0:
+                    stale.append(node_id)
+            for node_id in stale:
+                self.free_workers.pop(node_id, None)
+            if not candidates:
+                return None
+            sizes = self._sizes
+            equivalents_of = self._equivalents_of
+            best: Optional[WorkerAgent] = None
+            best_bytes = 0.0
+            for agent in candidates:
+                local = 0.0
+                for name in task.inputs:
+                    if agent.has(name):
+                        local += sizes[name]
+                        continue
+                    for equiv in equivalents_of(name):
+                        if agent.has(equiv):
+                            local += sizes[name]
+                            break
+                if local > best_bytes:
+                    best, best_bytes = agent, local
+            if best is None:
+                best = candidates[self._rotation % len(candidates)]
+                self._rotation += 1
+            return best
         if self.config.locality_scheduling:
             # Candidates are the workers holding at least one of the
             # task's intermediate inputs; each is scored exactly once
@@ -595,7 +634,7 @@ class TaskVineManager:
             # cached bytes break to the lowest node id -- an explicit
             # rule, not set-iteration order, so placement is stable
             # across processes and index implementations.
-            best: Optional[WorkerAgent] = None
+            best = None
             best_bytes = 0.0
             best_node = -1
             meta = self._task_meta(task_id)
@@ -638,28 +677,6 @@ class TaskVineManager:
         for node_id in stale:
             self.free_workers.pop(node_id, None)
         return found
-
-    def _pick_with_policy(self, task: SimTask) -> Optional[WorkerAgent]:
-        """Generic (O(free workers)) path for injected policies."""
-        candidates = []
-        stale = []
-        need = task.cores
-        for node_id in self.free_workers:
-            agent = self.agents.get(node_id)
-            if agent is None or not agent.alive:
-                stale.append(node_id)
-                continue
-            slots = agent.free_slots()
-            if slots >= need:
-                candidates.append(agent)
-            elif slots <= 0:
-                stale.append(node_id)
-        for node_id in stale:
-            self.free_workers.pop(node_id, None)
-        if not candidates:
-            return None
-        return self.policy.choose(task, candidates, self.replicas,
-                                  self._sizes)
 
     # -- task execution -----------------------------------------------------
     def _run_task(self, task: SimTask, agent: WorkerAgent):

@@ -1,51 +1,26 @@
-"""Pluggable task-placement policies and ready-queue disciplines.
+"""Ready-queue disciplines: which ready task the manager dispatches next.
 
-The TaskVine manager makes two separable scheduling decisions and each
-is pluggable here:
+The default :class:`TwoTierReadyQueue` reproduces TaskVine's
+downstream-first ordering (consumers of intermediates dispatch before
+fresh processing tasks, so retained partials drain instead of piling up
+past worker disks).  The multi-tenant facility layers fair-share
+disciplines (:mod:`repro.facility.fairshare`) on this interface.
 
-* **Which ready task runs next** -- a :class:`ReadyQueue` discipline.
-  The default :class:`TwoTierReadyQueue` reproduces TaskVine's
-  downstream-first ordering (consumers of intermediates dispatch before
-  fresh processing tasks, so retained partials drain instead of piling
-  up past worker disks).  The multi-tenant facility layers fair-share
-  disciplines (:mod:`repro.facility.fairshare`) on this interface.
-* **Which worker it runs on** -- a :class:`PlacementPolicy`.  The
-  paper's scheduler places tasks "where data dependencies are already
-  available, reducing the need for unnecessary data movement"
-  (Section IV.B) -- that is :class:`LocalityPolicy`.  The alternatives
-  exist for the ablation benches and for workloads without data
-  affinity.
-
-A policy sees only manager-visible state (candidate agents, the replica
-map, file sizes) and must be cheap: it runs once per dispatch.
+Which worker a task runs on is decided by the manager alone
+(``TaskVineManager._pick_worker``): it places tasks "where data
+dependencies are already available, reducing the need for unnecessary
+data movement" (Section IV.B).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Dict, Iterable, List, Optional, TYPE_CHECKING
+from typing import Dict, Optional
 
-import numpy as np
-
-from .files import FileKind
 from .spec import SimTask
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .cache import ReplicaMap
-    from .worker import WorkerAgent
-
-__all__ = [
-    "ReadyQueue",
-    "TwoTierReadyQueue",
-    "PlacementPolicy",
-    "LocalityPolicy",
-    "RoundRobinPolicy",
-    "RandomPolicy",
-    "PackPolicy",
-    "SpreadPolicy",
-    "make_policy",
-]
+__all__ = ["ReadyQueue", "TwoTierReadyQueue"]
 
 
 class ReadyQueue(ABC):
@@ -123,133 +98,3 @@ class TwoTierReadyQueue(ReadyQueue):
     def snapshot(self):
         return {"downstream": len(self._high),
                 "fresh": len(self._normal)}
-
-
-class PlacementPolicy(ABC):
-    """Chooses a worker for one ready task."""
-
-    name = "abstract"
-
-    @abstractmethod
-    def choose(self, task: SimTask,
-               candidates: List["WorkerAgent"],
-               replicas: "ReplicaMap",
-               sizes: Dict[str, float]) -> Optional["WorkerAgent"]:
-        """Return one of ``candidates`` (all alive with a free slot),
-        or None to defer the task."""
-
-
-class RoundRobinPolicy(PlacementPolicy):
-    """Rotate through workers in arrival order (Work Queue style)."""
-
-    name = "round-robin"
-
-    def __init__(self):
-        self._next = 0
-
-    def choose(self, task, candidates, replicas, sizes):
-        if not candidates:
-            return None
-        agent = candidates[self._next % len(candidates)]
-        self._next += 1
-        return agent
-
-
-class RandomPolicy(PlacementPolicy):
-    """Uniform random placement (the classic strawman)."""
-
-    name = "random"
-
-    def __init__(self, seed: int = 0):
-        self._rng = np.random.default_rng(seed)
-
-    def choose(self, task, candidates, replicas, sizes):
-        if not candidates:
-            return None
-        return candidates[int(self._rng.integers(len(candidates)))]
-
-
-class PackPolicy(PlacementPolicy):
-    """Fill the busiest worker first (minimises workers in use --
-    helpful for opportunistic pools where idle workers get reclaimed)."""
-
-    name = "pack"
-
-    def choose(self, task, candidates, replicas, sizes):
-        if not candidates:
-            return None
-        return min(candidates, key=lambda a: (a.free_slots(),
-                                              a.node_id))
-
-
-class SpreadPolicy(PlacementPolicy):
-    """Most-idle worker first (maximises failure isolation)."""
-
-    name = "spread"
-
-    def choose(self, task, candidates, replicas, sizes):
-        if not candidates:
-            return None
-        return max(candidates, key=lambda a: (a.free_slots(),
-                                              -a.node_id))
-
-
-class LocalityPolicy(PlacementPolicy):
-    """Place tasks where the most input bytes already live.
-
-    Falls back to ``fallback`` (default round-robin) when no candidate
-    holds any of the task's intermediate inputs.
-    """
-
-    name = "locality"
-
-    def __init__(self, fallback: Optional[PlacementPolicy] = None):
-        self.fallback = fallback or RoundRobinPolicy()
-
-    def choose(self, task, candidates, replicas, sizes):
-        if not candidates:
-            return None
-        # Score each candidate holding any input exactly once; ties on
-        # cached bytes break to the lowest node id (an explicit rule
-        # rather than replica-set iteration order).
-        best = None
-        best_bytes = 0.0
-        best_node = -1
-        by_id = {agent.node_id: agent for agent in candidates}
-        seen = set()
-        for name in task.inputs:
-            for node_id in replicas.locations(name):
-                if node_id in seen:
-                    continue
-                seen.add(node_id)
-                agent = by_id.get(node_id)
-                if agent is None:
-                    continue
-                local = agent.locality_bytes(task.inputs, sizes)
-                if local > best_bytes or (
-                        local == best_bytes and best is not None
-                        and node_id < best_node):
-                    best, best_bytes = agent, local
-                    best_node = node_id
-        if best is not None:
-            return best
-        return self.fallback.choose(task, candidates, replicas, sizes)
-
-
-_POLICIES = {
-    "locality": LocalityPolicy,
-    "round-robin": RoundRobinPolicy,
-    "random": RandomPolicy,
-    "pack": PackPolicy,
-    "spread": SpreadPolicy,
-}
-
-
-def make_policy(name: str, **kwargs) -> PlacementPolicy:
-    """Instantiate a policy by name."""
-    try:
-        cls = _POLICIES[name]
-    except KeyError:
-        raise ValueError(f"unknown placement policy {name!r}; "
-                         f"have {sorted(_POLICIES)}") from None
-    return cls(**kwargs)

@@ -27,7 +27,6 @@ from .composite import CompositeWorkflow
 from .facility import (
     Facility,
     FacilityResult,
-    SharedCachePlacement,
     Submission,
     TenantStats,
 )
@@ -57,7 +56,6 @@ from .tenant import (
 __all__ = [
     "Facility",
     "FacilityResult",
-    "SharedCachePlacement",
     "Submission",
     "TenantStats",
     "CompositeWorkflow",

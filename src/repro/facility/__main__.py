@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from typing import Optional
 
@@ -31,7 +30,7 @@ from ..bench.runners import build_environment, run_scheduler
 from ..bench.workloads import build_arrivals, build_workflow, \
     make_schedule
 from ..bench import calibration as cal
-from ..cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_UNREADABLE
+from ..cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_UNREADABLE, print_json
 from ..hep.datasets import TABLE2
 from ..obs.txlog import install_signal_handlers
 from .facility import Facility
@@ -130,8 +129,7 @@ def main(argv: Optional[list] = None) -> int:
         slo_policy=args.slo)
     result = facility.run(arrivals)
     if args.json:
-        print(json.dumps(facility_report_data(result, baselines),
-                         indent=2, sort_keys=True, default=str))
+        print_json(facility_report_data(result, baselines))
         return EXIT_OK if result.completed else EXIT_INCOMPLETE
     print(render_facility_report(result, baselines))
     slo = getattr(result, "slo_monitor", None)

@@ -7,8 +7,9 @@ open over sim time.  Tenants submit :class:`SimWorkflow` DAGs as they
 admitted DAGs merge into the shared
 :class:`~repro.facility.composite.CompositeWorkflow`, and the chosen
 fair-share discipline (:mod:`repro.facility.fairshare`) orders tenants
-at the shared ready queue.  Workers are shared too: the
-:class:`SharedCachePlacement` policy steers a tenant's tasks to workers
+at the shared ready queue.  Workers are shared too: because the
+composite exposes content-equivalents, the manager's placement
+(``TaskVineManager._pick_worker``) steers a tenant's tasks to workers
 already holding *content-equivalent* bytes -- even when those bytes
 were staged under another tenant's namespace -- so the facility stages
 each distinct chunk roughly once, not once per tenant.
@@ -27,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Set, Union
 
 from ..core.config import SchedulerConfig
 from ..core.manager import RunResult, TaskVineManager
-from ..core.scheduling import PlacementPolicy, RoundRobinPolicy
 from ..core.spec import SimTask, SimWorkflow
 from ..obs import EventBus, TransactionLog
 from ..obs import events as obs
@@ -46,44 +46,9 @@ __all__ = [
     "FacilityResult",
     "Submission",
     "TenantStats",
-    "SharedCachePlacement",
 ]
 
 Decision = Union[Admitted, Queued, Rejected]
-
-
-class SharedCachePlacement(PlacementPolicy):
-    """Locality placement that also counts peer tenants' equivalent
-    bytes: tenant B's task lands where tenant A already staged the
-    identical chunk, turning the transfer into a cache hit."""
-
-    name = "shared-cache"
-
-    def __init__(self, composite: CompositeWorkflow,
-                 fallback: Optional[PlacementPolicy] = None):
-        self.composite = composite
-        self.fallback = fallback or RoundRobinPolicy()
-
-    def choose(self, task, candidates, replicas, sizes):
-        if not candidates:
-            return None
-        best = None
-        best_bytes = 0.0
-        for agent in candidates:
-            local = 0.0
-            for name in task.inputs:
-                if agent.has(name):
-                    local += sizes[name]
-                    continue
-                for equiv in self.composite.equivalents(name):
-                    if agent.has(equiv):
-                        local += sizes[name]
-                        break
-            if local > best_bytes:
-                best, best_bytes = agent, local
-        if best is not None:
-            return best
-        return self.fallback.choose(task, candidates, replicas, sizes)
 
 
 @dataclass
@@ -166,7 +131,6 @@ class Facility:
                  txlog_path: Optional[str] = None,
                  txlog_meta: Optional[dict] = None,
                  txlog: Optional[TransactionLog] = None,
-                 placement: str = "shared-cache",
                  slo_policy=None,
                  **discipline_kwargs):
         if not tenants:
@@ -196,13 +160,10 @@ class Facility:
         self.discipline_name = discipline
         self.discipline = make_discipline(discipline, self.accounts,
                                           **discipline_kwargs)
-        policy: Optional[PlacementPolicy] = None
-        if placement == "shared-cache":
-            policy = SharedCachePlacement(self.composite)
 
         self.manager = TaskVineManager(
             env.sim, env.cluster, env.storage, self.composite,
-            config=config, trace=env.trace, policy=policy, bus=bus,
+            config=config, trace=env.trace, bus=bus,
             ready_queue=self.discipline)
         self.manager.hold_open = True
         self.manager.on_task_done = self._task_done

@@ -26,11 +26,10 @@ aborted, crashed, or truncated before the RUN_END footer.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
-from ..cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_UNREADABLE
+from ..cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_UNREADABLE, print_json
 from . import analyze
 
 SECTIONS = analyze.SECTIONS
@@ -108,8 +107,7 @@ def _diff_main(argv: list) -> int:
         print(f"cannot read txlog: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
     if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True,
-                         default=str))
+        print_json(result)
     else:
         print(render_diff(result, top=args.top))
     return EXIT_OK
@@ -169,8 +167,7 @@ def main(argv: Optional[list] = None) -> int:
                               sections=sections)
     try:
         if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True,
-                             default=str))
+            print_json(report)
         else:
             print(analyze.render_report(report))
     except BrokenPipeError:  # e.g. piped into `head`

@@ -110,15 +110,6 @@ class TransactionLog:
         bus.subscribe_all(self._on_event)
         return self
 
-    def stamp_checkpoint(self, t: float, **fields) -> None:
-        """Append a CHECKPOINT record (repro.serve state snapshot)."""
-        self.record(ev.CHECKPOINT, t, **fields)
-
-    def stamp_restore(self, t: float, **fields) -> None:
-        """Append a RESTORE record linking this epoch to its parent
-        checkpoint."""
-        self.record(ev.RESTORE, t, **fields)
-
     def _write(self, row: dict) -> None:
         line = json.dumps(row, separators=(",", ":"), default=_coerce)
         with self._lock:

@@ -24,12 +24,11 @@ records; ``3`` follow mode gave up (``--timeout``) before RUN_END.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from typing import Optional
 
-from ..cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_UNREADABLE
+from ..cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_UNREADABLE, print_json
 from .live import LiveAnalyzer
 from .txlog import TailReader
 
@@ -126,10 +125,8 @@ def main(argv: Optional[list] = None) -> int:
         from .slo import render_slo_report
 
     if args.json:
-        print(json.dumps(
-            live.snapshot(top=args.top if args.top is not None
-                          else 10), indent=2,
-                         sort_keys=True, default=str))
+        print_json(live.snapshot(top=args.top if args.top is not None
+                                 else 10))
     else:
         if frames == 0:  # nothing new arrived; still show the state
             print(live.render_dashboard(top=top, status=status))

@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import os
 import sys
 from typing import Optional
 
 from ..bench.runners import build_environment
 from ..bench.serve import serve_campaign
-from ..cli import EXIT_INCOMPLETE, EXIT_KILLED, EXIT_OK, EXIT_UNREADABLE
+from ..cli import (EXIT_INCOMPLETE, EXIT_KILLED, EXIT_OK, EXIT_UNREADABLE,
+                   print_json)
 from ..facility.report import fairness_summary
 from ..obs.txlog import install_signal_handlers
 from .checkpoint import (CheckpointError, load_checkpoint,
@@ -129,8 +129,7 @@ def _report(service: FacilityService, result, as_json: bool) -> None:
             "txlog": service.txlog_path,
             "epoch": service.epoch,
         }
-        print(json.dumps(payload, indent=2, sort_keys=True,
-                         default=str))
+        print_json(payload)
         return
     from ..facility.report import render_facility_report
     print(render_facility_report(result))

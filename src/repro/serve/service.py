@@ -37,7 +37,6 @@ from ..facility.facility import Facility, FacilityResult
 from ..facility.tenant import Queued, Rejected
 from ..obs import TransactionLog
 from ..obs import events as obs
-from ..obs.live import LiveAnalyzer, NULL_LIVE_ANALYZER
 from .futures import SubmissionFuture
 
 __all__ = ["FacilityService", "ServiceError"]
@@ -73,7 +72,6 @@ class FacilityService:
                  checkpoint_path: Optional[str] = None,
                  checkpoint_every: Optional[int] = None,
                  slice_events: int = 512,
-                 live: bool = False,
                  **facility_kwargs):
         self.env = env
         self.sim = env.sim
@@ -104,8 +102,6 @@ class FacilityService:
         #: checkpoint automatically every N committed tasks
         self.checkpoint_every = checkpoint_every
         self.slice_events = max(1, int(slice_events))
-        self.live = (LiveAnalyzer.install(self.bus) if live
-                     else NULL_LIVE_ANALYZER)
 
         #: sid -> SubmissionFuture for every non-rejected submission
         self.futures: Dict[str, SubmissionFuture] = {}

@@ -8,14 +8,12 @@ the scheduler implementations (:mod:`repro.core`, :mod:`repro.workqueue`,
 from .engine import (
     AllOf,
     AnyOf,
-    Container,
     Event,
     Interrupt,
     Process,
     Resource,
     Simulation,
     SimulationError,
-    Store,
     Timeout,
 )
 from .cluster import CAMPUS_WORKER, Cluster, NodeSpec, WorkerNode
@@ -45,7 +43,7 @@ from .trace import (
 
 __all__ = [
     "Simulation", "Event", "Process", "Timeout", "Interrupt",
-    "AllOf", "AnyOf", "Resource", "Container", "Store", "SimulationError",
+    "AllOf", "AnyOf", "Resource", "SimulationError",
     "Network", "Pipe", "Flow",
     "RngRegistry",
     "StorageProfile", "HDFS_PROFILE", "VAST_PROFILE", "SharedFilesystem",

@@ -7,8 +7,8 @@ storage, cluster, schedulers) is built on the primitives here:
 * :class:`Simulation` -- the event loop and simulated clock.
 * :class:`Event` -- a one-shot occurrence carrying a value or an error.
 * :class:`Process` -- a Python generator driven by the events it yields.
-* :class:`Resource`, :class:`Container`, :class:`Store` -- shared-resource
-  primitives with FIFO (optionally prioritised) wait queues.
+* :class:`Resource` -- a counted shared resource with a FIFO
+  (optionally prioritised) wait queue.
 
 The kernel is deterministic: events scheduled for the same simulated time
 fire in schedule order (a monotonically increasing sequence number breaks
@@ -32,10 +32,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Resource",
-    "PriorityResource",
-    "Preempted",
-    "Container",
-    "Store",
     "SimulationError",
 ]
 
@@ -476,10 +472,6 @@ class Simulation:
                 and isinstance(event, Process)):
             raise event._value
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._heap[0][0] if self._heap else float("inf")
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the event queue drains or ``until`` is reached.
 
@@ -631,120 +623,3 @@ class Resource:
             users.add(req)
             req.succeed(req)
 
-
-class Preempted(Exception):
-    """Cause attached to the interrupt of a preempted resource holder."""
-
-    def __init__(self, by: Any):
-        super().__init__(by)
-        self.by = by
-
-
-class PriorityResource(Resource):
-    """A resource whose wait queue is ordered by request priority.
-
-    Lower ``priority`` values are served first.  (No slot preemption:
-    queued order only.  Preemption of running work is modelled at the
-    cluster layer instead, where it maps to worker eviction.)
-    """
-
-
-class Container:
-    """A continuous store of a single substance (e.g. bytes of disk).
-
-    ``put`` and ``get`` return events that fire when the requested amount
-    could be added/removed without violating the bounds [0, capacity].
-    """
-
-    def __init__(self, sim: Simulation, capacity: float = float("inf"),
-                 init: float = 0.0):
-        if capacity <= 0:
-            raise SimulationError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise SimulationError("init outside [0, capacity]")
-        self.sim = sim
-        self.capacity = capacity
-        self._level = init
-        self._getters: list = []
-        self._putters: list = []
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        if amount < 0:
-            raise SimulationError("negative put amount")
-        ev = Event(self.sim)
-        self._putters.append((ev, amount))
-        self._dispatch()
-        return ev
-
-    def get(self, amount: float) -> Event:
-        if amount < 0:
-            raise SimulationError("negative get amount")
-        ev = Event(self.sim)
-        self._getters.append((ev, amount))
-        self._dispatch()
-        return ev
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters:
-                ev, amount = self._putters[0]
-                if self._level + amount <= self.capacity:
-                    self._putters.pop(0)
-                    self._level += amount
-                    ev.succeed(amount)
-                    progress = True
-            if self._getters:
-                ev, amount = self._getters[0]
-                if self._level - amount >= 0:
-                    self._getters.pop(0)
-                    self._level -= amount
-                    ev.succeed(amount)
-                    progress = True
-
-
-class Store:
-    """A FIFO queue of discrete items with optional capacity."""
-
-    def __init__(self, sim: Simulation, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise SimulationError("capacity must be positive")
-        self.sim = sim
-        self.capacity = capacity
-        self.items: list = []
-        self._getters: list = []
-        self._putters: list = []
-
-    def put(self, item: Any) -> Event:
-        ev = Event(self.sim)
-        self._putters.append((ev, item))
-        self._dispatch()
-        return ev
-
-    def get(self) -> Event:
-        ev = Event(self.sim)
-        self._getters.append(ev)
-        self._dispatch()
-        return ev
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters and len(self.items) < self.capacity:
-                ev, item = self._putters.pop(0)
-                self.items.append(item)
-                ev.succeed(item)
-                progress = True
-            if self._getters and self.items:
-                ev = self._getters.pop(0)
-                ev.succeed(self.items.pop(0))
-                progress = True

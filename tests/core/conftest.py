@@ -42,6 +42,15 @@ class Env:
         self.cluster.provision(n_workers, spec or NodeSpec())
 
 
+class SharedWorkflow(SimWorkflow):
+    """Exposes content-equivalents the way the facility's composite
+    does, so the manager takes its multi-tenant placement branch:
+    "a-copy" holds the bytes of "a" under another tenant's name."""
+
+    def equivalents(self, name):
+        return {"a": ["a-copy"], "a-copy": ["a"]}.get(name, [])
+
+
 @pytest.fixture
 def env():
     return Env()

@@ -1,124 +1,53 @@
-"""Tests for pluggable placement policies and dynamic workers."""
+"""Tests for worker placement and dynamic workers."""
 
-import pytest
-
-from repro.core.cache import ReplicaMap
 from repro.core.manager import TaskVineManager
-from repro.core.scheduling import (
-    LocalityPolicy,
-    PackPolicy,
-    RandomPolicy,
-    RoundRobinPolicy,
-    SpreadPolicy,
-    make_policy,
-)
-from repro.core.spec import SimTask
-from repro.core.worker import WorkerAgent
-from repro.sim.cluster import NodeSpec, WorkerNode
-from repro.sim.engine import Simulation
-from repro.sim.storage import MB
-from repro.sim.trace import TraceRecorder
+from repro.sim.cluster import NodeSpec
 
-from .conftest import TEST_CONFIG, Env, make_env, map_reduce_workflow
+from .conftest import TEST_CONFIG, Env, SharedWorkflow, map_reduce_workflow
 
 
-def make_agents(n, cores=2, busy=None):
-    sim = Simulation()
-    trace = TraceRecorder()
-    agents = []
-    for i in range(1, n + 1):
-        agent = WorkerAgent(sim, WorkerNode(sim, i, NodeSpec(cores=cores)),
-                            trace)
-        for j in range((busy or {}).get(i, 0)):
-            agent.assign(f"task-{i}-{j}")
-        agents.append(agent)
-    return agents
+def _manager(shared, n_workers=3):
+    env = Env(n_workers=n_workers)
+    wf = map_reduce_workflow(n_proc=2)
+    if shared:
+        wf = SharedWorkflow(wf.tasks.values(), wf.files.values())
+    return TaskVineManager(env.sim, env.cluster, env.storage, wf,
+                           config=TEST_CONFIG)
 
 
-TASK = SimTask(id="t", compute=1.0, inputs=("f",))
+def _hold(manager, node_id, name):
+    manager.agents[node_id].reserve(name, manager._sizes[name])
+    manager.replicas.add(name, node_id)
 
 
 class TestPolicies:
-    def test_factory(self):
-        assert isinstance(make_policy("locality"), LocalityPolicy)
-        assert isinstance(make_policy("random", seed=1), RandomPolicy)
-        with pytest.raises(ValueError):
-            make_policy("astrology")
-
     def test_all_return_none_on_empty(self):
-        for name in ("locality", "round-robin", "random", "pack",
-                     "spread"):
-            policy = make_policy(name)
-            assert policy.choose(TASK, [], ReplicaMap(), {}) is None
+        for shared in (False, True):
+            manager = _manager(shared)
+            for agent in manager.agents.values():
+                agent.assign(f"busy-{agent.node_id}",
+                             agent.free_slots())
+            assert manager._pick_worker("accum") is None
+            assert not manager.free_workers  # full workers pruned
 
     def test_round_robin_rotates(self):
-        agents = make_agents(3)
-        policy = RoundRobinPolicy()
-        picks = [policy.choose(TASK, agents, ReplicaMap(), {}).node_id
+        manager = _manager(shared=True)
+        picks = [manager._pick_worker("proc-0").node_id
                  for _ in range(6)]
         assert picks == [1, 2, 3, 1, 2, 3]
 
-    def test_random_deterministic_by_seed(self):
-        agents = make_agents(5)
-        a = [RandomPolicy(seed=3).choose(TASK, agents, ReplicaMap(),
-                                         {}).node_id for _ in range(1)]
-        b = [RandomPolicy(seed=3).choose(TASK, agents, ReplicaMap(),
-                                         {}).node_id for _ in range(1)]
-        assert a == b
-
-    def test_pack_prefers_busiest(self):
-        agents = make_agents(3, cores=4, busy={2: 3, 1: 1})
-        policy = PackPolicy()
-        assert policy.choose(TASK, agents, ReplicaMap(), {}).node_id == 2
-
-    def test_spread_prefers_idlest(self):
-        agents = make_agents(3, cores=4, busy={2: 3, 1: 1})
-        policy = SpreadPolicy()
-        assert policy.choose(TASK, agents, ReplicaMap(), {}).node_id == 3
-
     def test_locality_follows_data(self):
-        agents = make_agents(3)
-        replicas = ReplicaMap()
-        replicas.add("f", 2)
-        agents[1].reserve("f", 10 * MB)
-        policy = LocalityPolicy()
-        chosen = policy.choose(TASK, agents, replicas,
-                               {"f": 10 * MB})
-        assert chosen.node_id == 2
+        for shared in (False, True):
+            manager = _manager(shared)
+            _hold(manager, 2, "partial-0")
+            assert manager._pick_worker("accum").node_id == 2
 
     def test_locality_falls_back(self):
-        agents = make_agents(3)
-        policy = LocalityPolicy(fallback=RoundRobinPolicy())
-        chosen = policy.choose(TASK, agents, ReplicaMap(),
-                               {"f": 10 * MB})
-        assert chosen.node_id == 1
-
-
-class TestPolicyInjection:
-    @pytest.mark.parametrize("name", ["round-robin", "random", "pack",
-                                      "spread", "locality"])
-    def test_manager_completes_with_any_policy(self, name):
-        env = make_env(n_workers=3)
-        wf = map_reduce_workflow(n_proc=8)
-        manager = TaskVineManager(env.sim, env.cluster, env.storage, wf,
-                                  config=TEST_CONFIG, trace=env.trace,
-                                  policy=make_policy(name))
-        result = manager.run(limit=1e6)
-        assert result.completed
-        assert result.tasks_done == 9
-
-    def test_spread_uses_more_workers_than_pack(self):
-        def workers_used(policy_name):
-            env = make_env(n_workers=4, spec=NodeSpec(cores=8))
-            wf = map_reduce_workflow(n_proc=8, compute=5.0)
-            manager = TaskVineManager(
-                env.sim, env.cluster, env.storage, wf,
-                config=TEST_CONFIG, trace=env.trace,
-                policy=make_policy(policy_name))
-            manager.run(limit=1e6)
-            return len(env.trace.gantt())
-
-        assert workers_used("spread") > workers_used("pack")
+        # no worker holds an input: the first free worker, every time
+        manager = _manager(shared=False)
+        picks = [manager._pick_worker("accum").node_id
+                 for _ in range(3)]
+        assert picks == [1, 1, 1]
 
 
 class TestDynamicWorkers:

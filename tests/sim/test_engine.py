@@ -5,12 +5,10 @@ import pytest
 from repro.sim.engine import (
     AllOf,
     AnyOf,
-    Container,
     Interrupt,
     Resource,
     Simulation,
     SimulationError,
-    Store,
 )
 
 
@@ -511,122 +509,6 @@ class TestResource:
         sim.run()
         # The impatient request was withdrawn, so patient got the slot.
         assert got == [("patient", 10)]
-
-
-class TestContainer:
-    def test_put_get_levels(self, sim):
-        box = Container(sim, capacity=100, init=50)
-
-        def proc():
-            yield box.get(30)
-            assert box.level == 20
-            yield box.put(60)
-            assert box.level == 80
-
-        sim.process(proc())
-        sim.run()
-        assert box.level == 80
-
-    def test_get_blocks_until_available(self, sim):
-        box = Container(sim, capacity=100, init=0)
-        times = []
-
-        def getter():
-            yield box.get(10)
-            times.append(sim.now)
-
-        def putter():
-            yield sim.timeout(5)
-            yield box.put(10)
-
-        sim.process(getter())
-        sim.process(putter())
-        sim.run()
-        assert times == [5]
-
-    def test_put_blocks_at_capacity(self, sim):
-        box = Container(sim, capacity=10, init=10)
-        times = []
-
-        def putter():
-            yield box.put(5)
-            times.append(sim.now)
-
-        def drainer():
-            yield sim.timeout(3)
-            yield box.get(5)
-
-        sim.process(putter())
-        sim.process(drainer())
-        sim.run()
-        assert times == [3]
-
-    def test_bad_amounts_rejected(self, sim):
-        box = Container(sim, capacity=10)
-        with pytest.raises(SimulationError):
-            box.put(-1)
-        with pytest.raises(SimulationError):
-            box.get(-1)
-        with pytest.raises(SimulationError):
-            Container(sim, capacity=0)
-        with pytest.raises(SimulationError):
-            Container(sim, capacity=5, init=6)
-
-
-class TestStore:
-    def test_fifo_items(self, sim):
-        store = Store(sim)
-        got = []
-
-        def producer():
-            for item in "abc":
-                yield store.put(item)
-                yield sim.timeout(1)
-
-        def consumer():
-            for _ in range(3):
-                item = yield store.get()
-                got.append(item)
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert got == ["a", "b", "c"]
-
-    def test_get_blocks_on_empty(self, sim):
-        store = Store(sim)
-        times = []
-
-        def consumer():
-            yield store.get()
-            times.append(sim.now)
-
-        def producer():
-            yield sim.timeout(7)
-            yield store.put("x")
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert times == [7]
-
-    def test_capacity_blocks_put(self, sim):
-        store = Store(sim, capacity=1)
-        times = []
-
-        def producer():
-            yield store.put("a")
-            yield store.put("b")
-            times.append(sim.now)
-
-        def consumer():
-            yield sim.timeout(4)
-            yield store.get()
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert times == [4]
 
 
 class TestDeterminism:

@@ -5,7 +5,7 @@ import heapq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Container, Resource, Simulation, Store
+from repro.sim.engine import Resource, Simulation
 
 
 class TestClockMonotonicity:
@@ -73,51 +73,3 @@ class TestResourceInvariants:
         sim.run()
         assert sim.now >= sum(durations) / capacity - 1e-9
         assert sim.now <= sum(durations) + 1e-9
-
-
-class TestContainerConservation:
-    @given(st.lists(st.tuples(st.booleans(), st.floats(0.1, 10)),
-                    min_size=1, max_size=30))
-    @settings(max_examples=40, deadline=None)
-    def test_level_stays_in_bounds(self, ops):
-        sim = Simulation()
-        box = Container(sim, capacity=50, init=25)
-        observed = []
-
-        def actor(is_put, amount):
-            amount = min(amount, 20.0)
-            if is_put:
-                yield box.put(amount)
-            else:
-                yield box.get(amount)
-            observed.append(box.level)
-
-        for is_put, amount in ops:
-            sim.process(actor(is_put, amount))
-        sim.run(until=1000)
-        for level in observed:
-            assert -1e-9 <= level <= 50 + 1e-9
-
-
-class TestStoreOrdering:
-    @given(st.lists(st.integers(), min_size=1, max_size=30))
-    @settings(max_examples=40, deadline=None)
-    def test_fifo_preserved(self, items):
-        sim = Simulation()
-        store = Store(sim)
-        received = []
-
-        def producer():
-            for item in items:
-                yield store.put(item)
-                yield sim.timeout(0.1)
-
-        def consumer():
-            for _ in items:
-                value = yield store.get()
-                received.append(value)
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert received == items
