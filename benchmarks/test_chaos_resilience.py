@@ -15,7 +15,6 @@ the same seeded fault scenario against all three stacks:
   stability tolerance -- the paper's "worker and application crashes".
 """
 
-import dataclasses
 import os
 
 from repro.bench import calibration as cal
@@ -31,16 +30,8 @@ N_WORKERS = 60
 SCALE = 0.25  # a quarter of DV3-Medium keeps the matrix fast
 
 
-def _spec():
-    spec = TABLE2["DV3-Medium"]
-    return dataclasses.replace(
-        spec, name=f"{spec.name}-x{SCALE:g}",
-        n_tasks=max(1, int(spec.n_tasks * SCALE)),
-        input_bytes=spec.input_bytes * SCALE)
-
-
 def _one_stack(scheduler, scenario, out_dir):
-    spec = _spec()
+    spec = TABLE2["DV3-Medium"].scaled(SCALE)
     node = (cal.dask_sharded_node()
             if scheduler == "dask.distributed" else None)
 

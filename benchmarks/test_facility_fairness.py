@@ -17,7 +17,6 @@ case for the facility:
   is byte-stable across two same-seed executions.
 """
 
-import dataclasses
 import os
 
 import numpy as np
@@ -42,16 +41,8 @@ HEAVY = ("h0", "h1")
 SMALL = ("s0", "s1", "s2", "s3", "s4", "s5")
 
 
-def _spec(name, scale):
-    spec = TABLE2[name]
-    return dataclasses.replace(
-        spec, name=f"{spec.name}-x{scale:g}",
-        n_tasks=max(1, int(spec.n_tasks * scale)),
-        input_bytes=spec.input_bytes * scale)
-
-
-HEAVY_SPEC = _spec("DV3-Medium", 0.22)   # ~600 tasks each
-SMALL_SPEC = _spec("DV3-Small", 0.10)    # ~40 tasks each
+HEAVY_SPEC = TABLE2["DV3-Medium"].scaled(0.22)   # ~600 tasks each
+SMALL_SPEC = TABLE2["DV3-Small"].scaled(0.10)    # ~40 tasks each
 
 
 def _env():

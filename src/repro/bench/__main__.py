@@ -145,23 +145,15 @@ def _fig15(args) -> str:
 
 def _run(args) -> str:
     """One observable scheduler run (``--txlog`` feeds repro.obs)."""
-    import dataclasses
-
     from ..hep.datasets import TABLE2
     from . import calibration as cal
     from .runners import build_environment, run_scheduler
     from .workloads import build_workflow
 
-    try:
-        spec = TABLE2[args.workload]
-    except KeyError:
+    if args.workload not in TABLE2:
         raise SystemExit(f"unknown workload {args.workload!r}; "
                          f"have {sorted(TABLE2)}")
-    if args.scale != 1.0:
-        spec = dataclasses.replace(
-            spec, name=f"{spec.name}-x{args.scale:g}",
-            n_tasks=max(1, int(spec.n_tasks * args.scale)),
-            input_bytes=spec.input_bytes * args.scale)
+    spec = TABLE2[args.workload].scaled(args.scale)
     scenario = None
     if args.chaos:
         from ..chaos import get_scenario
@@ -180,8 +172,6 @@ def _run(args) -> str:
     node = (cal.dask_sharded_node()
             if args.scheduler == "dask.distributed" else None)
     env = build_environment(args.workers, node=node, seed=args.seed)
-    workflow = build_workflow(spec, arity=cal.REDUCTION_ARITY,
-                              seed=args.seed)
     if args.tenants:
         # multi-tenant route: every tenant submits the workload to one
         # shared facility; the arrival spec + tenant count are stamped
@@ -190,17 +180,14 @@ def _run(args) -> str:
             raise SystemExit("--tenants requires the taskvine "
                              "scheduler (the facility shares one "
                              "TaskVine manager)")
-        from ..facility import Facility, Tenant, \
-            render_facility_report
-        from .workloads import build_arrivals, make_schedule
-        tenant_names = [f"t{i}" for i in range(args.tenants)]
-        schedule = make_schedule(args.arrival, tenant_names,
-                                 per_tenant=1, seed=args.seed)
-        arrivals = build_arrivals(schedule, lambda tenant: workflow,
-                                  tag_for=lambda tenant: spec.name)
+        from ..facility import Facility, render_facility_report
+        from .serve import serve_campaign
+        tenants, arrivals = serve_campaign(
+            n_tenants=args.tenants, per_tenant=1,
+            workload=args.workload, scale=args.scale,
+            arrival=args.arrival, seed=args.seed)
         facility = Facility(
-            env, [Tenant(name) for name in tenant_names],
-            txlog_path=args.txlog,
+            env, tenants, txlog_path=args.txlog,
             txlog_meta={"tenants": args.tenants,
                         "arrival": args.arrival,
                         "workload": spec.name,
@@ -209,32 +196,27 @@ def _run(args) -> str:
             slo_policy=slo_policy)
         fac_result = facility.run(arrivals, chaos=scenario)
         table = render_facility_report(fac_result)
-        slo = getattr(fac_result, "slo_monitor", None)
-        if slo is not None and slo.enabled:
-            from ..obs.slo import render_slo_report
-            table += "\n\n" + render_slo_report(slo)
-        if args.txlog:
-            table += (f"\ntransaction log -> {args.txlog} "
-                      f"(analyze: python -m repro.obs {args.txlog})")
-        return table
-    result = run_scheduler(env, workflow, args.scheduler,
-                           txlog_path=args.txlog, chaos=scenario,
-                           slo_policy=slo_policy)
-    table = format_table(
-        ["Workload", "Scheduler", "Workers", "Tasks done", "Failures",
-         "Makespan (s)"],
-        [(spec.name, args.scheduler, args.workers, result.tasks_done,
-          result.task_failures,
-          round(result.makespan, 1) if result.completed else "DNF")],
-        title="RUN: single scheduler run")
-    slo = getattr(result, "slo_monitor", None)
+        result = fac_result.run
+    else:
+        workflow = build_workflow(spec, arity=cal.REDUCTION_ARITY,
+                                  seed=args.seed)
+        result = run_scheduler(env, workflow, args.scheduler,
+                               txlog_path=args.txlog, chaos=scenario,
+                               slo_policy=slo_policy)
+        table = format_table(
+            ["Workload", "Scheduler", "Workers", "Tasks done",
+             "Failures", "Makespan (s)"],
+            [(spec.name, args.scheduler, args.workers,
+              result.tasks_done, result.task_failures,
+              round(result.makespan, 1) if result.completed else "DNF")],
+            title="RUN: single scheduler run")
+    slo = result.slo_monitor
     if slo is not None and slo.enabled:
         from ..obs.slo import render_slo_report
         table += "\n\n" + render_slo_report(slo)
-    if scenario is not None:
-        fired = getattr(result, "chaos_injections", [])
+    if scenario is not None and not args.tenants:
         table += (f"\nchaos scenario {scenario.name!r}: "
-                  f"{len(fired)} injections fired "
+                  f"{len(result.chaos_injections)} injections fired "
                   f"(scorecard: python -m repro.chaos)")
     if args.txlog:
         table += (f"\ntransaction log -> {args.txlog} "

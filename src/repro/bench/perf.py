@@ -92,12 +92,7 @@ def _taskvine_run(spec_name: str, n_workers: int, seed: int,
     from .runners import build_environment, run_scheduler
     from .workloads import build_workflow
 
-    spec = TABLE2[spec_name]
-    if scale != 1.0:
-        spec = dataclasses.replace(
-            spec, name=f"{spec.name}-x{scale:g}",
-            n_tasks=max(1, int(spec.n_tasks * scale)),
-            input_bytes=spec.input_bytes * scale)
+    spec = TABLE2[spec_name].scaled(scale)
     env = build_environment(
         n_workers,
         node=cal.campus_node(disk=spec.worker_disk, ram=spec.worker_ram),
@@ -142,27 +137,15 @@ def _fig15_dv3huge(seed: int, txlog_path: Optional[str] = None) -> dict:
 
 def _facility_8(seed: int, txlog_path: Optional[str] = None) -> dict:
     """Eight tenants multiplexed onto one shared manager."""
-    from ..facility import Facility, Tenant
-    from ..hep.datasets import TABLE2
-    from . import calibration as cal
+    from ..facility import Facility
     from .runners import build_environment
-    from .workloads import build_arrivals, build_workflow, make_schedule
+    from .serve import serve_campaign
 
-    scale = 0.25
-    spec = TABLE2["DV3-Small"]
-    spec = dataclasses.replace(
-        spec, name=f"{spec.name}-x{scale:g}",
-        n_tasks=max(1, int(spec.n_tasks * scale)),
-        input_bytes=spec.input_bytes * scale)
     env = build_environment(24, seed=seed)
-    workflow = build_workflow(spec, arity=cal.REDUCTION_ARITY, seed=seed)
-    tenant_names = [f"t{i}" for i in range(8)]
-    schedule = make_schedule("poisson:0.05", tenant_names,
-                             per_tenant=1, seed=seed)
-    arrivals = build_arrivals(schedule, lambda tenant: workflow,
-                              tag_for=lambda tenant: spec.name)
-    facility = Facility(env, [Tenant(name) for name in tenant_names],
-                        txlog_path=txlog_path)
+    tenants, arrivals = serve_campaign(
+        n_tenants=8, per_tenant=1, workload="DV3-Small", scale=0.25,
+        arrival="poisson:0.05", seed=seed)
+    facility = Facility(env, tenants, txlog_path=txlog_path)
     result = facility.run(arrivals)
     result.run.raise_for_status()
     return {"events": env.sim.events_processed,

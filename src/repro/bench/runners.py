@@ -15,6 +15,9 @@ from ..core.manager import RunResult, TaskVineManager
 from ..core.spec import SimWorkflow
 from ..daskdist.scheduler import DaskDistributedScheduler
 from ..hep.datasets import DatasetSpec
+from ..obs.metrics import MetricsRegistry
+from ..obs.observers import RunObservers
+from ..obs.txlog import TransactionLog
 from ..sim.cluster import Cluster, NodeSpec
 from ..sim.engine import Simulation
 from ..sim.network import Network
@@ -131,90 +134,31 @@ def run_scheduler(env: SimEnvironment, workflow: SimWorkflow,
         raise ValueError(f"unknown scheduler {scheduler!r}; "
                          f"have {sorted(SCHEDULERS)}") from None
 
-    observing = (txlog_path is not None or metrics is not None
-                 or sample_interval is not None
-                 or slo_policy is not None)
     txlog = None
-    sampler = None
-    slo_monitor = None
-    if observing:
-        # imported lazily so plain benchmark runs never touch obs
-        from ..obs import (EventBus, MetricsRegistry, Sampler,
-                           TransactionLog, install_standard_gauges)
-        bus = env.trace.bus
-        if bus is None or not bus.enabled:
-            bus = EventBus()
-            env.trace.bus = bus
-        if txlog_path is not None:
-            meta = {"scheduler": scheduler,
-                    "n_workers": env.n_workers,
-                    "cores_per_worker": env.cores_per_worker,
-                    "tasks": len(workflow.tasks)}
-            if chaos is not None:
-                meta["chaos"] = chaos.describe()
-            meta.update(txlog_meta or {})
-            txlog = TransactionLog(txlog_path, meta=meta)
-            txlog.attach(bus)
-        if metrics is True or (metrics is None
-                               and sample_interval is not None):
-            metrics = MetricsRegistry()
-        if metrics is not None:
-            metrics.bind(bus)
-        if slo_policy is not None:
-            from ..obs.slo import SLOMonitor, SLOPolicy
-            if isinstance(slo_policy, str):
-                slo_policy = SLOPolicy.from_file(slo_policy)
-            slo_monitor = SLOMonitor.install(
-                slo_policy, bus, expected_tasks=len(workflow.tasks))
+    if txlog_path is not None:
+        meta = {"scheduler": scheduler,
+                "n_workers": env.n_workers,
+                "cores_per_worker": env.cores_per_worker,
+                "tasks": len(workflow.tasks)}
+        if chaos is not None:
+            meta["chaos"] = chaos.describe()
+        meta.update(txlog_meta or {})
+        txlog = TransactionLog(txlog_path, meta=meta)
+    if metrics is True or (metrics is None and sample_interval is not None):
+        metrics = MetricsRegistry()
+    observers = RunObservers(env, txlog=txlog, slo_policy=slo_policy,
+                             metrics=metrics,
+                             expected_tasks=len(workflow.tasks))
 
     # built after the bus is in place: the manager adopts trace.bus
     manager = scheduler_cls(env.sim, env.cluster, env.storage, workflow,
                             config=config, trace=env.trace)
-
-    injector = None
-    if chaos is not None:
-        # imported lazily so fault-free runs never touch repro.chaos
-        from ..chaos.inject import Injector, estimate_horizon
-        horizon = chaos_horizon
-        if horizon is None:
-            horizon = estimate_horizon(
-                workflow, env.n_workers * env.cores_per_worker)
-        injector = Injector(manager, chaos, horizon)
-        injector.start()
-
-    if metrics is not None:
-        install_standard_gauges(metrics, manager)
-        if sample_interval is not None:
-            sampler = Sampler(env.sim, metrics,
-                              interval=sample_interval, bus=manager.bus)
-            sampler.start()
-
+    observers.start(manager, chaos=chaos, horizon=chaos_horizon,
+                    arrivals=[(0.0, workflow)],
+                    sample_interval=sample_interval)
     try:
         result = manager.run(limit=limit)
     except Exception as exc:
-        if sampler is not None:
-            sampler.stop()
-        if slo_monitor is not None:
-            # judged before the close so final alerts are in-log
-            slo_monitor.finish()
-        if txlog is not None:
-            txlog.close(completed=False, error=repr(exc))
+        observers.abort(exc)
         raise
-    if sampler is not None:
-        sampler.stop()
-    if slo_monitor is not None:
-        # judged before the close so final alerts are in-log
-        slo_monitor.finish(makespan=result.makespan)
-    if txlog is not None:
-        txlog.close(completed=result.completed,
-                    makespan=result.makespan,
-                    tasks_done=result.tasks_done,
-                    task_failures=result.task_failures,
-                    error=result.error)
-    if injector is not None:
-        result.chaos_injections = injector.fired
-    if metrics is not None:
-        result.metrics_registry = metrics
-    if slo_monitor is not None:
-        result.slo_monitor = slo_monitor
-    return result
+    return observers.close(result)

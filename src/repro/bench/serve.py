@@ -60,17 +60,15 @@ def serve_campaign(n_tenants: int = 4,
                    inflight_quota: Optional[int] = None,
                    max_queued: int = 8
                    ) -> Tuple[List[Tenant], list]:
-    """Tenants + arrival trace for one serve campaign.
+    """Tenants + arrival trace for one multi-tenant campaign.
 
+    The one campaign builder: ``python -m repro.serve``,
+    ``python -m repro.facility``, ``bench run --tenants`` and the
+    ``facility-8`` perf workload all take theirs from here.
     Deterministic in all arguments: the crash/restore equivalence
     tests rebuild the identical campaign on both sides of a kill -9.
     """
-    spec = TABLE2[workload]
-    if scale != 1.0:
-        spec = dataclasses.replace(
-            spec, name=f"{spec.name}-x{scale:g}",
-            n_tasks=max(1, int(spec.n_tasks * scale)),
-            input_bytes=spec.input_bytes * scale)
+    spec = TABLE2[workload].scaled(scale)
     workflow = build_workflow(spec, arity=cal.REDUCTION_ARITY,
                               seed=seed)
     if dynamic_every:

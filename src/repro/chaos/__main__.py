@@ -23,7 +23,6 @@ scenario's.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from typing import Optional
@@ -54,12 +53,7 @@ def _workload_spec(name: str, scale: float):
     except KeyError:
         raise SystemExit(f"unknown workload {name!r}; "
                          f"have {sorted(TABLE2)}")
-    if scale != 1.0:
-        spec = dataclasses.replace(
-            spec, name=f"{spec.name}-x{scale:g}",
-            n_tasks=max(1, int(spec.n_tasks * scale)),
-            input_bytes=spec.input_bytes * scale)
-    return spec
+    return spec.scaled(scale)
 
 
 def _build(args, spec):

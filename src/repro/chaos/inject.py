@@ -56,8 +56,7 @@ def estimate_horizon(workflow, total_cores: int,
 class Injector:
     """Drives one scenario against one live scheduler run."""
 
-    def __init__(self, manager, scenario: Scenario, horizon: float,
-                 bus=None):
+    def __init__(self, manager, scenario: Scenario, horizon: float):
         self.manager = manager
         self.sim = manager.sim
         self.cluster = manager.cluster
@@ -65,7 +64,7 @@ class Injector:
         self.storage = manager.storage
         self.scenario = scenario
         self.horizon = horizon
-        self.bus = bus if bus is not None else manager.bus
+        self.bus = manager.bus
         self.rng = RngRegistry(scenario.seed)
         #: chronological record of every effect applied:
         #: dicts with at least {"t", "kind"}.

@@ -25,7 +25,6 @@ the data-routing policies (see :mod:`repro.workqueue` and
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from heapq import nsmallest
 from typing import Callable, Dict, Iterable, List, Optional, Set
@@ -42,7 +41,7 @@ from ..sim.engine import (
     Timeout,
 )
 from ..sim.storage import DiskFullError, SharedFilesystem
-from ..sim.trace import TaskRecord, TraceRecorder
+from ..sim.trace import TaskRecord, TraceRecorder, stable_trace_id
 from .cache import ReplicaMap
 from .config import TASK_MODE_FUNCTIONS, TASK_MODE_TASKS, SchedulerConfig
 from .files import FileKind
@@ -54,18 +53,6 @@ __all__ = ["TaskVineManager", "RunResult", "SchedulerError",
            "UnrecoverableError", "stable_trace_id"]
 
 MANAGER_NODE = 0
-
-
-def stable_trace_id(task_id: str) -> int:
-    """31-bit numeric trace id for a task's string id.
-
-    CRC32, *not* ``hash()``: the builtin is salted per process
-    (PYTHONHASHSEED), so hashed ids from two runs could never be lined
-    up.  With a content-defined id, traces written by different
-    processes (or recorded in the golden captures under ``tests/``)
-    agree byte for byte.
-    """
-    return zlib.crc32(task_id.encode()) & 0x7FFFFFFF
 
 
 class SchedulerError(Exception):
@@ -122,6 +109,12 @@ class RunResult:
     tasks_done: int
     task_failures: int
     error: Optional[str] = None
+    #: the :class:`~repro.obs.slo.SLOMonitor` that judged the run
+    slo_monitor: Optional[object] = None
+    #: every effect the chaos injector applied, in firing order
+    chaos_injections: List[dict] = field(default_factory=list)
+    #: the :class:`~repro.obs.metrics.MetricsRegistry` bound to the run
+    metrics_registry: Optional[object] = None
 
     def summary(self) -> Dict[str, float]:
         out = self.trace.summary()
@@ -146,7 +139,6 @@ class TaskVineManager:
                  storage: SharedFilesystem, workflow: SimWorkflow,
                  config: Optional[SchedulerConfig] = None,
                  trace: Optional[TraceRecorder] = None,
-                 bus=None,
                  ready_queue: Optional[ReadyQueue] = None):
         self.sim = sim
         self.cluster = cluster
@@ -154,15 +146,11 @@ class TaskVineManager:
         self.workflow = workflow
         self.config = config or SchedulerConfig()
         self.trace = trace if trace is not None else cluster.trace
-        #: observability bus for lifecycle edges (defaults to the
-        #: trace's bus, else the zero-cost null bus).  When a bus is
-        #: passed explicitly, the trace forwards onto it too so the
-        #: transaction log sees transfers/cache/worker records as well.
-        if bus is None:
-            bus = getattr(self.trace, "bus", None) or obs.NULL_BUS
-        elif getattr(self.trace, "bus", None) is None:
-            self.trace.bus = bus
-        self.bus = bus
+        #: observability bus for lifecycle edges: the trace's bus, so
+        #: one bus carries both the manager's edges and the trace's
+        #: transfer/cache/worker records; the zero-cost null bus when
+        #: the trace has none
+        self.bus = self.trace.bus or obs.NULL_BUS
         self.replicas = ReplicaMap(bus=self.bus,
                                    clock=lambda: self.sim.now)
         self.manager_cpu = Resource(sim, capacity=1)

@@ -76,11 +76,10 @@ class DaskDistributedScheduler(TaskVineManager):
     _workers_lost = 0
 
     def __init__(self, sim, cluster, storage, workflow,
-                 config: Optional[SchedulerConfig] = None, trace=None,
-                 bus=None):
+                 config: Optional[SchedulerConfig] = None, trace=None):
         super().__init__(sim, cluster, storage, workflow,
                          config=config or DASK_DISTRIBUTED_CONFIG,
-                         trace=trace, bus=bus)
+                         trace=trace)
         self._peak_workers = max(1, len(self.agents))
         self._workers_lost = 0
 

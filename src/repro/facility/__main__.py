@@ -22,20 +22,16 @@ Exit codes (the :mod:`repro.obs` CLI convention):
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from typing import Optional
 
 from ..bench.runners import build_environment, run_scheduler
-from ..bench.workloads import build_arrivals, build_workflow, \
-    make_schedule
-from ..bench import calibration as cal
+from ..bench.serve import serve_campaign
 from ..cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_UNREADABLE, print_json
 from ..hep.datasets import TABLE2
 from ..obs.txlog import install_signal_handlers
 from .facility import Facility
 from .report import facility_report_data, render_facility_report
-from .tenant import Tenant, TenantQuota
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,36 +82,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     install_signal_handlers()
-    try:
-        spec = TABLE2[args.workload]
-    except KeyError:
+    if args.workload not in TABLE2:
         print(f"error: unknown workload {args.workload!r}; "
               f"have {sorted(TABLE2)}", file=sys.stderr)
         return EXIT_UNREADABLE
-    if args.scale != 1.0:
-        spec = dataclasses.replace(
-            spec, name=f"{spec.name}-x{args.scale:g}",
-            n_tasks=max(1, int(spec.n_tasks * args.scale)),
-            input_bytes=spec.input_bytes * args.scale)
-    workflow = build_workflow(spec, arity=cal.REDUCTION_ARITY,
-                              seed=args.seed)
-
-    tenant_names = [f"t{i}" for i in range(args.tenants)]
-    quota = TenantQuota(inflight_tasks=args.inflight_quota)
-    tenants = [Tenant(name, quota=quota) for name in tenant_names]
+    spec = TABLE2[args.workload].scaled(args.scale)
     try:
-        schedule = make_schedule(args.arrival, tenant_names,
-                                 args.submissions, seed=args.seed)
+        tenants, arrivals = serve_campaign(
+            n_tenants=args.tenants, per_tenant=args.submissions,
+            workload=args.workload, scale=args.scale,
+            arrival=args.arrival, seed=args.seed,
+            inflight_quota=args.inflight_quota)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
-    arrivals = build_arrivals(schedule, lambda tenant: workflow,
-                              tag_for=lambda tenant: spec.name)
 
     baselines = None
-    if not args.no_baseline:
+    if not args.no_baseline and arrivals:
+        # every tenant submits the same DAG: one isolated run of it
         iso_env = build_environment(args.workers, seed=args.seed)
-        iso = run_scheduler(iso_env, workflow, "taskvine")
+        iso = run_scheduler(iso_env, arrivals[0].workflow, "taskvine")
         if iso.completed:
             baselines = {spec.name: iso.makespan}
 
@@ -132,7 +118,7 @@ def main(argv: Optional[list] = None) -> int:
         print_json(facility_report_data(result, baselines))
         return EXIT_OK if result.completed else EXIT_INCOMPLETE
     print(render_facility_report(result, baselines))
-    slo = getattr(result, "slo_monitor", None)
+    slo = result.slo_monitor
     if slo is not None and slo.enabled:
         from ..obs.slo import render_slo_report
         print()

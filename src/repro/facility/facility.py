@@ -29,8 +29,9 @@ from typing import Dict, List, Optional, Sequence, Set, Union
 from ..core.config import SchedulerConfig
 from ..core.manager import RunResult, TaskVineManager
 from ..core.spec import SimTask, SimWorkflow
-from ..obs import EventBus, TransactionLog
+from ..obs import TransactionLog
 from ..obs import events as obs
+from ..obs.observers import RunObservers
 from .composite import CompositeWorkflow
 from .fairshare import make_discipline
 from .tenant import (
@@ -114,6 +115,10 @@ class FacilityResult:
     def completed(self) -> bool:
         return self.run.completed
 
+    @property
+    def slo_monitor(self):
+        return self.run.slo_monitor
+
     def staged_bytes_total(self) -> float:
         return sum(s.staged_bytes for s in self.tenant_stats.values())
 
@@ -143,36 +148,15 @@ class Facility:
                 raise ValueError(f"duplicate tenant {tenant.name!r}")
             self.tenants[tenant.name] = tenant
 
-        # the facility is always observable: cache accounting and the
-        # fairness report both ride the event bus
-        bus = getattr(env.trace, "bus", None)
-        if bus is None or not bus.enabled:
-            bus = EventBus()
-            env.trace.bus = bus
-        self.bus = bus
-
         self.composite = CompositeWorkflow()
         self.accounts = TenantAccounts(
             self.tenants, self.composite.tenant_of,
             self.composite.tenant_of_file)
-        bus.subscribe((obs.CACHE_PUT, obs.CACHE_EVICT),
-                      self.accounts.on_cache_event)
         self.discipline_name = discipline
         self.discipline = make_discipline(discipline, self.accounts,
                                           **discipline_kwargs)
 
-        self.manager = TaskVineManager(
-            env.sim, env.cluster, env.storage, self.composite,
-            config=config, trace=env.trace, bus=bus,
-            ready_queue=self.discipline)
-        self.manager.hold_open = True
-        self.manager.on_task_done = self._task_done
-
-        self.txlog: Optional[TransactionLog] = None
-        if txlog is not None:
-            self.txlog = txlog
-            self.txlog.attach(bus)
-        elif txlog_path is not None:
+        if txlog is None and txlog_path is not None:
             meta = {"scheduler": "taskvine",
                     "facility": True,
                     "discipline": discipline,
@@ -180,15 +164,21 @@ class Facility:
                     "cores_per_worker": env.cores_per_worker,
                     "tenants": sorted(self.tenants)}
             meta.update(txlog_meta or {})
-            self.txlog = TransactionLog(txlog_path, meta=meta)
-            self.txlog.attach(bus)
+            txlog = TransactionLog(txlog_path, meta=meta)
+        self.observers = RunObservers(env, txlog=txlog,
+                                      slo_policy=slo_policy)
+        # the facility is always observable: cache accounting and the
+        # fairness report both ride the event bus
+        self.bus = bus = self.observers.bus
+        bus.subscribe((obs.CACHE_PUT, obs.CACHE_EVICT),
+                      self.accounts.on_cache_event)
 
-        self.slo_monitor = None
-        if slo_policy is not None:
-            from ..obs.slo import SLOMonitor, SLOPolicy
-            if isinstance(slo_policy, str):
-                slo_policy = SLOPolicy.from_file(slo_policy)
-            self.slo_monitor = SLOMonitor.install(slo_policy, bus)
+        self.manager = TaskVineManager(
+            env.sim, env.cluster, env.storage, self.composite,
+            config=config, trace=env.trace,
+            ready_queue=self.discipline)
+        self.manager.hold_open = True
+        self.manager.on_task_done = self._task_done
 
         self.submissions: Dict[str, Submission] = {}
         self.decisions: List[Decision] = []
@@ -419,31 +409,16 @@ class Facility:
         return task_ids, file_names
 
     def finalize(self, run: RunResult) -> FacilityResult:
-        """Judge SLOs, close the txlog, and assemble the result."""
-        if self.slo_monitor is not None:
-            # judged before the close so final alerts are in-log
-            self.slo_monitor.finish(makespan=run.makespan)
-        if self.txlog is not None:
-            self.txlog.close(completed=run.completed,
-                             makespan=run.makespan,
-                             tasks_done=run.tasks_done,
-                             task_failures=run.task_failures,
-                             error=run.error)
-        result = FacilityResult(
-            run=run, discipline=self.discipline_name,
+        """Close the observers and assemble the result."""
+        return FacilityResult(
+            run=self.observers.close(run),
+            discipline=self.discipline_name,
             submissions=self.submissions, decisions=self.decisions,
             tenant_stats=self.tenant_stats)
-        if self.slo_monitor is not None:
-            result.slo_monitor = self.slo_monitor
-        return result
 
     def abort(self, exc: BaseException) -> None:
         """Close observers after a failed drive (txlog marked failed)."""
-        if self.slo_monitor is not None:
-            # judged before the close so final alerts are in-log
-            self.slo_monitor.finish()
-        if self.txlog is not None:
-            self.txlog.close(completed=False, error=repr(exc))
+        self.observers.abort(exc)
 
     # -- driving ------------------------------------------------------------
     def run(self, arrivals, limit: float = 5e5,
@@ -460,27 +435,15 @@ class Facility:
         arrivals = sorted(arrivals, key=lambda a: (a.t, a.tenant))
         self.sim.process(self._arrival_proc(arrivals),
                          name="facility-arrivals")
-        injector = None
-        if chaos is not None:
-            from ..chaos.inject import Injector, estimate_horizon
-            horizon = chaos_horizon
-            if horizon is None:
-                cores = max(1, self.env.n_workers
-                            * self.env.cores_per_worker)
-                horizon = (max((a.t for a in arrivals), default=0.0)
-                           + sum(estimate_horizon(a.workflow, cores)
-                                 for a in arrivals))
-            injector = Injector(self.manager, chaos, horizon)
-            injector.start()
+        self.observers.start(
+            self.manager, chaos=chaos, horizon=chaos_horizon,
+            arrivals=[(a.t, a.workflow) for a in arrivals])
         try:
             run = self.manager.run(limit=limit)
         except Exception as exc:
             self.abort(exc)
             raise
-        result = self.finalize(run)
-        if injector is not None:
-            result.run.chaos_injections = injector.fired
-        return result
+        return self.finalize(run)
 
     def _arrival_proc(self, arrivals):
         for arrival in arrivals:

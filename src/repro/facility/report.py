@@ -145,8 +145,8 @@ def facility_report_data(result: FacilityResult,
     data["tasks_done"] = result.run.tasks_done
     data["task_failures"] = result.run.task_failures
     data["error"] = result.run.error
-    slo = getattr(result, "slo_monitor", None)
-    if slo is not None and getattr(slo, "enabled", False):
+    slo = result.slo_monitor
+    if slo is not None and slo.enabled:
         data["slo"] = slo.summary()
     return data
 

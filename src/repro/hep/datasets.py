@@ -29,7 +29,7 @@ descriptors used by the benchmark harness.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -272,6 +272,16 @@ class DatasetSpec:
     stages: int = 1           # depth of per-chunk processing chains
     worker_disk: float = 108e9   # per-worker disk allocation (Section IV)
     worker_ram: float = 96e9     # per-worker memory allocation
+
+    def scaled(self, factor: float) -> "DatasetSpec":
+        """This configuration with ``n_tasks`` and ``input_bytes``
+        scaled by ``factor`` and the factor in its name
+        (``DV3-Small-x0.05``); the spec itself when ``factor`` is 1."""
+        if factor == 1.0:
+            return self
+        return replace(self, name=f"{self.name}-x{factor:g}",
+                       n_tasks=max(1, int(self.n_tasks * factor)),
+                       input_bytes=self.input_bytes * factor)
 
 
 TB = 1e12

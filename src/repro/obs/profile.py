@@ -3,8 +3,8 @@
 Everything else in :mod:`repro.obs` measures **sim time** -- where the
 simulated seconds of a DV3 run go.  This module measures where the
 **simulator's own** seconds go: how much of a 30 s wall-clock run was
-spent inside the event kernel, the network/storage substrate, placement
-scoring, or the observability layer itself.  That is the measurement
+spent inside the event kernel, the network/storage substrate, the
+scheduler, or the observability layer itself.  That is the measurement
 the tiered-kernel optimisation work needs: you cannot decide what to
 vectorise until you know which phase owns the wall time.
 
@@ -40,7 +40,6 @@ PHASE_RULES: Tuple[Tuple[str, str], ...] = (
     ("repro.sim.cluster", "substrate"),
     ("repro.sim.trace", "trace"),
     ("repro.sim", "kernel"),
-    ("repro.core.scheduling", "placement"),
     ("repro.core.cache", "replica-map"),
     ("repro.core.worker", "worker"),
     ("repro.core", "scheduler"),
@@ -51,7 +50,6 @@ PHASE_RULES: Tuple[Tuple[str, str], ...] = (
     ("repro.facility", "facility"),
     ("repro.chaos", "chaos"),
     ("repro.bench", "harness"),
-    ("repro.workloads", "workload-gen"),
     ("repro", "other-repro"),
 )
 

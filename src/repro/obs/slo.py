@@ -173,7 +173,8 @@ class NullSLOMonitor:
     def prime(self, tasks_done: int, t: float = 0.0) -> None:
         pass
 
-    def finish(self, t: Optional[float] = None) -> list:
+    def finish(self, t: Optional[float] = None,
+               makespan: Optional[float] = None) -> list:
         return []
 
     def states(self) -> dict:

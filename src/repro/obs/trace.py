@@ -40,9 +40,9 @@ tracing is off.
 
 from __future__ import annotations
 
-import zlib
 from typing import Dict, Iterable, List, Optional, Union
 
+from ..sim.trace import stable_trace_id
 from . import events as ev
 from .txlog import Source, read_records
 
@@ -69,16 +69,6 @@ INPUT_TRANSFER = "input-transfer"
 EXECUTE = "execute"
 OUTPUT_COMMIT = "output-commit"
 RECOVERY = "recovery"
-
-
-def stable_trace_id(task_id: str) -> int:
-    """CRC32 numeric id for a string task id.
-
-    Must match :func:`repro.core.manager.stable_trace_id`: EXEC_END
-    records carry this numeric id while every other lifecycle edge
-    carries the string id, and the builder lines them up through it.
-    """
-    return zlib.crc32(task_id.encode()) & 0x7FFFFFFF
 
 
 class Span:

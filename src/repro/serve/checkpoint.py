@@ -367,8 +367,8 @@ async def restore_service(path: str, env, tenants, *,
                             _retain_at_restore(composite, name, done)))
     manager.restore_committed(done, replica_nodes, cache_entries)
     manager.submission_added(all_ids, all_files)
-    slo = facility.slo_monitor
-    if slo is not None and getattr(slo, "enabled", False):
+    slo = facility.observers.slo_monitor
+    if slo is not None and slo.enabled:
         # committed progress never crosses this epoch's bus
         slo.prime(len(done), t=sim.now)
 

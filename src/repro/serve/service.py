@@ -97,7 +97,6 @@ class FacilityService:
                                  **facility_kwargs)
         self.manager = self.facility.manager
         self.bus = self.facility.bus
-        self.txlog = self.facility.txlog
         self.checkpoint_path = checkpoint_path
         #: checkpoint automatically every N committed tasks
         self.checkpoint_every = checkpoint_every

@@ -6,8 +6,6 @@ the scheduler implementations (:mod:`repro.core`, :mod:`repro.workqueue`,
 """
 
 from .engine import (
-    AllOf,
-    AnyOf,
     Event,
     Interrupt,
     Process,
@@ -43,7 +41,7 @@ from .trace import (
 
 __all__ = [
     "Simulation", "Event", "Process", "Timeout", "Interrupt",
-    "AllOf", "AnyOf", "Resource", "SimulationError",
+    "Resource", "SimulationError",
     "Network", "Pipe", "Flow",
     "RngRegistry",
     "StorageProfile", "HDFS_PROFILE", "VAST_PROFILE", "SharedFilesystem",

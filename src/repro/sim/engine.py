@@ -7,8 +7,8 @@ storage, cluster, schedulers) is built on the primitives here:
 * :class:`Simulation` -- the event loop and simulated clock.
 * :class:`Event` -- a one-shot occurrence carrying a value or an error.
 * :class:`Process` -- a Python generator driven by the events it yields.
-* :class:`Resource` -- a counted shared resource with a FIFO
-  (optionally prioritised) wait queue.
+* :class:`Resource` -- a counted shared resource with a FIFO wait
+  queue.
 
 The kernel is deterministic: events scheduled for the same simulated time
 fire in schedule order (a monotonically increasing sequence number breaks
@@ -18,10 +18,10 @@ ties), so repeated runs with the same seed produce identical traces.
 from __future__ import annotations
 
 import heapq
-from bisect import insort
+from collections import deque
 from heapq import heappop, heappush
 from types import GeneratorType
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 __all__ = [
     "Simulation",
@@ -29,8 +29,6 @@ __all__ = [
     "Timeout",
     "Process",
     "Interrupt",
-    "AllOf",
-    "AnyOf",
     "Resource",
     "SimulationError",
 ]
@@ -139,13 +137,6 @@ class Event:
         sim._seq += 1
         heappush(sim._heap, (sim._now, NORMAL, sim._seq, self))
         return self
-
-    # -- composition --------------------------------------------------------
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.sim, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.sim, [self, other])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
@@ -306,93 +297,6 @@ class Process(Event):
             sim._active_process = None
 
 
-class ConditionEvent(Event):
-    """Base for AllOf/AnyOf composite events.
-
-    An event counts as settled for condition purposes only once it has
-    been *processed* (its callbacks have run).  ``Timeout`` objects carry
-    their value from creation, so testing ``triggered`` would make a
-    future timeout look complete.
-    """
-
-    __slots__ = ("events", "_remaining")
-
-    def __init__(self, sim: "Simulation", events: Iterable[Event]):
-        super().__init__(sim)
-        self.events = list(events)
-        for ev in self.events:
-            if ev.sim is not sim:
-                raise SimulationError("cannot mix events across simulations")
-        pending = [ev for ev in self.events if ev.callbacks is not None]
-        self._remaining = len(pending)
-        self._post_init()
-        if not self.triggered:
-            for ev in pending:
-                ev.callbacks.append(self._on_fire)
-
-    def _post_init(self) -> None:
-        raise NotImplementedError
-
-    def _on_fire(self, event: Event) -> None:
-        self._remaining -= 1
-        if not self.triggered:
-            self._check(event)
-
-    def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _processed_events(self) -> list:
-        return [ev for ev in self.events if ev.callbacks is None]
-
-    def _values(self) -> dict:
-        return {ev: ev._value for ev in self.events if ev.triggered}
-
-
-class AllOf(ConditionEvent):
-    """Fires when every component event has fired; fails on first failure."""
-
-    __slots__ = ()
-
-    def _post_init(self) -> None:
-        for ev in self._processed_events():
-            if ev._ok is False:
-                self.fail(ev._value)
-                return
-        if self._remaining == 0:
-            self.succeed(self._values())
-
-    def _check(self, event: Event) -> None:
-        if event._ok is False:
-            self.fail(event._value)
-        elif self._remaining == 0:
-            self.succeed(self._values())
-
-
-class AnyOf(ConditionEvent):
-    """Fires when the first component event fires (success or failure).
-
-    An empty AnyOf succeeds immediately (there is nothing to wait for).
-    """
-
-    __slots__ = ()
-
-    def _post_init(self) -> None:
-        done = self._processed_events()
-        if done:
-            self._settle(done[0])
-        elif not self.events:
-            self.succeed({})
-
-    def _check(self, event: Event) -> None:
-        self._settle(event)
-
-    def _settle(self, event: Event) -> None:
-        if event._ok is False:
-            self.fail(event._value)
-        else:
-            self.succeed(self._values())
-
-
 class Simulation:
     """The discrete-event loop and simulated clock.
 
@@ -440,12 +344,6 @@ class Simulation:
                 name: Optional[str] = None) -> Process:
         """Start a new process driving ``generator``."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling ------------------------------------------------------------
     def _schedule(self, event: Event, priority: int,
@@ -547,22 +445,16 @@ class Simulation:
 class _Request(Event):
     """A pending claim on a :class:`Resource` slot."""
 
-    __slots__ = ("resource", "priority", "key")
+    __slots__ = ("resource",)
 
     # Flattened constructor: one request per resource acquisition.
-    def __init__(self, resource: "Resource", priority: float = 0.0):
+    def __init__(self, resource: "Resource"):
         self.sim = resource.sim
         self.callbacks = []
         self._value = _PENDING
         self._ok = None
         self._scheduled = False
         self.resource = resource
-        self.priority = priority
-        resource._seq += 1
-        self.key = (priority, resource._seq)
-
-    def __lt__(self, other: "_Request") -> bool:
-        return self.key < other.key
 
     def cancel(self) -> None:
         """Withdraw an ungranted request (e.g. after an interrupt)."""
@@ -584,8 +476,7 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self._users: set = set()
-        self._queue: list = []
-        self._seq = 0
+        self._queue: deque = deque()
 
     @property
     def count(self) -> int:
@@ -597,13 +488,11 @@ class Resource:
         """Number of requests waiting for a slot."""
         return len(self._queue)
 
-    def request(self, priority: float = 0.0) -> _Request:
-        """Claim a slot; the returned event fires when granted."""
-        req = _Request(self, priority)
-        # Keys (priority, seq) are unique, so keeping the queue sorted at
-        # insert time grants in exactly the order the old sort-per-grant
-        # did, without re-sorting the whole queue on every dispatch.
-        insort(self._queue, req)
+    def request(self) -> _Request:
+        """Claim a slot; the returned event fires when granted, in
+        request order."""
+        req = _Request(self)
+        self._queue.append(req)
         self._dispatch()
         return req
 
@@ -619,7 +508,7 @@ class Resource:
         queue = self._queue
         users = self._users
         while queue and len(users) < self.capacity:
-            req = queue.pop(0)
+            req = queue.popleft()
             users.add(req)
             req.succeed(req)
 

@@ -15,6 +15,7 @@ log:
 from __future__ import annotations
 
 import bisect
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,11 +27,26 @@ __all__ = [
     "CacheDelta",
     "WorkerEvent",
     "TraceRecorder",
+    "stable_trace_id",
     "step_series",
 ]
 
 MANAGER_NODE = 0
 """Node id reserved for the manager in transfer matrices (paper Fig 7)."""
+
+
+def stable_trace_id(task_id: str) -> int:
+    """31-bit numeric trace id for a task's string id.
+
+    CRC32, *not* ``hash()``: the builtin is salted per process
+    (PYTHONHASHSEED), so hashed ids from two runs could never be lined
+    up.  With a content-defined id, traces written by different
+    processes (or recorded in the golden captures under ``tests/``)
+    agree byte for byte.  EXEC_END records carry this numeric id while
+    every other lifecycle edge carries the string id; the span builder
+    (:mod:`repro.obs.trace`) lines them up through it.
+    """
+    return zlib.crc32(task_id.encode()) & 0x7FFFFFFF
 
 
 @dataclass(slots=True)

@@ -46,11 +46,9 @@ class WorkQueueManager(TaskVineManager):
     scheduler_name = "workqueue"
 
     def __init__(self, sim, cluster, storage, workflow,
-                 config: Optional[SchedulerConfig] = None, trace=None,
-                 bus=None):
+                 config: Optional[SchedulerConfig] = None, trace=None):
         super().__init__(sim, cluster, storage, workflow,
-                         config=config or WORK_QUEUE_CONFIG, trace=trace,
-                         bus=bus)
+                         config=config or WORK_QUEUE_CONFIG, trace=trace)
         self._manager_inflight: Dict[str, Event] = {}
         #: bytes of workflow data staged on the manager's disk
         self.manager_bytes = 0.0

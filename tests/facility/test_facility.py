@@ -114,12 +114,20 @@ class TestRun:
 
     def test_chaos_compatible(self):
         from repro.chaos import get_scenario
-        fac = Facility(make_env(n_workers=4),
-                       [Tenant("a"), Tenant("b")])
+        tenants = [Tenant("a"), Tenant("b")]
+        baseline = Facility(make_env(n_workers=4), tenants).run(
+            burst(["a", "b"]))
+        fac = Facility(make_env(n_workers=4), tenants)
+        # resolved against the fault-free makespan, the storm lands
+        # mid-run and preempts a worker of the loaded facility
         result = fac.run(burst(["a", "b"]),
-                         chaos=get_scenario("smoke"))
+                         chaos=get_scenario("smoke"),
+                         chaos_horizon=baseline.run.makespan)
         assert result.completed
-        assert hasattr(result.run, "chaos_injections")
+        fired = result.run.chaos_injections
+        assert [(i["kind"], i["victims"]) for i in fired] == [
+            ("preemption-storm", 1)]
+        assert fired[0]["t"] < result.run.makespan
 
 
 class TestObservability:

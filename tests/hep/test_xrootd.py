@@ -40,7 +40,8 @@ class TestXRootD:
                              aggregate_bw=1 * GB)
         fed = XRootDFederation(sim, net, profile)
         events = [fed.read(node, 1 * GB) for node in (1, 2)]
-        sim.run_until_complete(sim.all_of(events))
+        for event in events:
+            sim.run_until_complete(event)
         # 2 GB through a 1 GB/s site uplink
         assert sim.now == pytest.approx(2.0, rel=0.05)
 

@@ -15,7 +15,7 @@ class TestClassify:
         assert classify_module("repro.sim.engine.calendar") == "kernel"
         assert classify_module("repro.sim.network") == "substrate"
         assert classify_module("repro.sim.rng") == "kernel"
-        assert classify_module("repro.core.scheduling") == "placement"
+        assert classify_module("repro.core.scheduling") == "scheduler"
         assert classify_module("repro.core.manager") == "scheduler"
         assert classify_module("repro.obs.txlog") == "observability"
         assert classify_module("repro.chaos.inject") == "chaos"

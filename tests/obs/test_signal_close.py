@@ -13,7 +13,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -71,34 +70,45 @@ class TestInProcess:
         assert records[-1]["terminated"] == "SIGINT"
 
 
+#: the child process: ``python -c SIGNAL_AT_COMMIT N SIG MODULE ARGS``
+#: counts TASK_DONE events on every bus, signals itself with SIG at the
+#: N-th, and runs MODULE as ``python -m`` would.  The signal lands at a
+#: fixed point of the run, so the run can never finish before it.
+SIGNAL_AT_COMMIT = """
+import os, runpy, sys
+from repro.obs import events
+at, sig, module = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+emit, commits = events.EventBus.emit, [0]
+def emit_and_count(self, type, t, **fields):
+    emit(self, type, t, **fields)
+    if type == events.TASK_DONE:
+        commits[0] += 1
+        if commits[0] == at:
+            os.kill(os.getpid(), sig)
+events.EventBus.emit = emit_and_count
+sys.argv = [module, *sys.argv[4:]]
+runpy.run_module(module, run_name="__main__", alter_sys=True)
+"""
+
+#: far inside every campaign below (hundreds of tasks each)
+AT_COMMIT = 20
+
+
 def _terminate_midrun(argv, txlog, sig):
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.Popen([sys.executable, *argv], env=env,
-                            cwd=os.path.dirname(txlog),
-                            stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL)
-    try:
-        deadline = time.monotonic() + 60
-        # wait until the run is demonstrably under way
-        while time.monotonic() < deadline:
-            if os.path.exists(txlog) and os.path.getsize(txlog) > 4096:
-                break
-            time.sleep(0.02)
-        else:
-            pytest.fail("campaign never started writing its txlog")
-        proc.send_signal(sig)
-        return proc.wait(timeout=60)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+    proc = subprocess.run(
+        [sys.executable, "-c", SIGNAL_AT_COMMIT, str(AT_COMMIT),
+         str(int(sig)), *argv],
+        env=env, cwd=os.path.dirname(txlog), timeout=120,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return proc.returncode
 
 
 class TestCliRegression:
     @pytest.mark.parametrize("argv,flag", [
-        (["-m", "repro.facility", "--scale", "1.0", "--workers", "2",
+        (["repro.facility", "--scale", "1.0", "--workers", "2",
           "--submissions", "2"], "--txlog"),
-        (["-m", "repro.serve", "run", "--scale", "1.0", "--workers",
+        (["repro.serve", "run", "--scale", "1.0", "--workers",
           "2", "--submissions", "2"], "--txlog"),
     ], ids=["facility", "serve"])
     def test_sigterm_leaves_a_complete_log(self, tmp_path, argv, flag):

@@ -216,6 +216,23 @@ class TestBusIntegration:
         assert SLOMonitor.install(SLOPolicy(), EventBus()) \
             is NULL_SLO_MONITOR
 
+    def test_run_with_empty_policy_completes(self, tmp_path):
+        # an empty policy installs the null monitor, which the run's
+        # teardown judges with the makespan like a real one
+        from repro.bench.runners import build_environment, run_scheduler
+        from repro.bench.workloads import build_workflow
+        from repro.hep.datasets import TABLE2
+        from repro.obs.txlog import read_records
+        path = str(tmp_path / "run.jsonl")
+        result = run_scheduler(
+            build_environment(2, seed=3),
+            build_workflow(TABLE2["DV3-Small"].scaled(0.02), arity=4,
+                           seed=3),
+            txlog_path=path, slo_policy=SLOPolicy())
+        assert result.completed
+        assert result.slo_monitor is NULL_SLO_MONITOR
+        assert list(read_records(path))[-1]["completed"] is True
+
 
 class TestInLogStamping:
     """The run's own monitor stamps alerts into the txlog, the

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.sim.engine import (
-    AllOf,
-    AnyOf,
     Interrupt,
     Resource,
     Simulation,
@@ -333,73 +331,6 @@ class TestInterrupts:
         assert not v.ok and isinstance(v.value, Interrupt)
 
 
-class TestConditions:
-    def test_all_of_waits_for_all(self, sim):
-        times = []
-
-        def proc():
-            yield AllOf(sim, [sim.timeout(3), sim.timeout(7)])
-            times.append(sim.now)
-
-        sim.process(proc())
-        sim.run()
-        assert times == [7]
-
-    def test_any_of_fires_on_first(self, sim):
-        times = []
-
-        def proc():
-            yield AnyOf(sim, [sim.timeout(3), sim.timeout(7)])
-            times.append(sim.now)
-
-        sim.process(proc())
-        sim.run()
-        assert times == [3]
-
-    def test_and_or_operators(self, sim):
-        times = []
-
-        def proc():
-            yield sim.timeout(2) & sim.timeout(4)
-            times.append(sim.now)
-            yield sim.timeout(10) | sim.timeout(1)
-            times.append(sim.now)
-
-        sim.process(proc())
-        sim.run()
-        assert times == [4, 5]
-
-    def test_all_of_empty_fires_immediately(self, sim):
-        times = []
-
-        def proc():
-            yield AllOf(sim, [])
-            times.append(sim.now)
-
-        sim.process(proc())
-        sim.run()
-        assert times == [0]
-
-    def test_all_of_fails_fast(self, sim):
-        ev = sim.event()
-        caught = []
-
-        def proc():
-            try:
-                yield AllOf(sim, [ev, sim.timeout(100)])
-            except RuntimeError:
-                caught.append(sim.now)
-
-        def failer():
-            yield sim.timeout(2)
-            ev.fail(RuntimeError("bad"))
-
-        sim.process(proc())
-        sim.process(failer())
-        sim.run()
-        assert caught == [2]
-
-
 class TestResource:
     def test_capacity_enforced(self, sim):
         res = Resource(sim, capacity=2)
@@ -437,29 +368,6 @@ class TestResource:
         sim.run()
         assert order == [0, 1, 2, 3]
 
-    def test_priority_queue_order(self, sim):
-        res = Resource(sim, capacity=1)
-        order = []
-
-        def holder():
-            req = res.request()
-            yield req
-            yield sim.timeout(10)
-            res.release(req)
-
-        def user(uid, priority):
-            yield sim.timeout(1)  # queue up behind the holder
-            req = res.request(priority=priority)
-            yield req
-            order.append(uid)
-            res.release(req)
-
-        sim.process(holder())
-        sim.process(user("low", priority=5))
-        sim.process(user("high", priority=-5))
-        sim.run()
-        assert order == ["high", "low"]
-
     def test_release_without_hold_rejected(self, sim):
         res = Resource(sim, capacity=1)
 
@@ -490,7 +398,7 @@ class TestResource:
         def impatient():
             yield sim.timeout(1)
             req = res.request()
-            yield sim.timeout(1) | req
+            yield sim.timeout(1)
             if not req.triggered:
                 req.cancel()
             else:

@@ -84,7 +84,8 @@ class TestSharing:
         net.add_node(2, capacity=1000)
         d1 = net.transfer(0, 1, 500)
         d2 = net.transfer(0, 2, 500)
-        sim.run_until_complete(d1 & d2)
+        sim.run_until_complete(d1)
+        sim.run_until_complete(d2)
         # Each gets 50 B/s through the shared source: 500/50 = 10 s.
         assert sim.now == pytest.approx(10.0)
 
@@ -110,7 +111,8 @@ class TestSharing:
         net.add_node(2, capacity=50)  # destination bottleneck
         d1 = net.transfer(0, 2, 100)
         d2 = net.transfer(1, 2, 100)
-        sim.run_until_complete(d1 & d2)
+        sim.run_until_complete(d1)
+        sim.run_until_complete(d2)
         # 25 B/s each through the 50 B/s destination.
         assert sim.now == pytest.approx(4.0)
 
@@ -120,7 +122,8 @@ class TestSharing:
         for node in range(1, 21):
             net.add_node(node, capacity=1000)
         events = [net.transfer(0, node, 50) for node in range(1, 21)]
-        sim.run_until_complete(sim.all_of(events))
+        for event in events:
+            sim.run_until_complete(event)
         # 20 x 50 = 1000 bytes through a 100 B/s pipe: >= 10 s.
         assert sim.now == pytest.approx(10.0, rel=0.01)
 
@@ -184,7 +187,8 @@ class TestTraceIntegration:
             net.add_node(node, capacity=100)
         done = [net.transfer(0, 1, 100), net.transfer(0, 2, 100),
                 net.transfer(1, 2, 50)]
-        sim.run_until_complete(sim.all_of(done))
+        for event in done:
+            sim.run_until_complete(event)
         mat = trace.transfer_matrix(3)
         assert mat[0, 1] == 100
         assert mat[0, 2] == 100

@@ -77,7 +77,8 @@ class TestSharedFilesystem:
             net.add_node(node, capacity=10 * GB)
         fs = make_fs(sim, net, stream_bw=10 * GB, agg_bw=1 * GB)
         events = [fs.read(node, 1 * GB) for node in range(1, n_clients + 1)]
-        sim.run_until_complete(sim.all_of(events))
+        for event in events:
+            sim.run_until_complete(event)
         # 10 GB total through a 1 GB/s filesystem pipe.
         assert sim.now == pytest.approx(10.0, rel=0.01)
 
@@ -118,7 +119,8 @@ class TestQueueModel:
         fs = make_fs(sim, net, stream_bw=1 * GB, agg_bw=2 * GB,
                      model="queue")
         events = [fs.read(1, 1 * GB) for _ in range(4)]
-        sim.run_until_complete(sim.all_of(events))
+        for event in events:
+            sim.run_until_complete(event)
         # 4 GB total at 2 GB/s effective: 2 seconds.
         assert sim.now == pytest.approx(2.0)
 
